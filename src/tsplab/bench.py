@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from .errors import ZeroBaseline
 from .instances import Instance, build_distance_matrix, generate_random_instance, parse_instance
 from .seeding import stable_hash
-from .solvers import SolveBudget, get_algorithm, run_solver
+from .solvers import SolveBudget, get_algorithm, resolve_config, run_solver
 from .tours import tour_length, validate_tour
 
 CSV_HEADER = "algorithm,variant,config_id,instance,n,seed,rep,best_cost,elapsed_s,evaluations,nodes_expanded,status"
@@ -169,7 +169,7 @@ def _parse_kv(tokens: list[str], context: str) -> dict[str, str]:
         key, sep, value = tok.partition("=")
         if not sep:
             raise ValueError(f"expected key=value in {context}, got {tok!r}")
-        out[key] = value
+        out[key.strip()] = value
     return out
 
 
@@ -195,28 +195,11 @@ def _parse_instance_line(line: str) -> InstanceSpec:
 def _parse_algorithm_line(line: str) -> AlgorithmSpec:
     tokens = line.split()
     name = tokens[0]
-    info = get_algorithm(name)  # raises UnknownAlgorithm early
     kv = _parse_kv(tokens[1:], f"algorithm line {name}")
     variant = kv.pop("variant", "baseline")
-    if variant not in info.variants:
-        raise ValueError(f"{name} has no variant {variant!r}")
     preset_name = kv.pop("preset", None)
-    if preset_name is not None and kv:
-        raise ValueError(f"give either preset= or inline values, not both: {line!r}")
-    if preset_name is not None:
-        from .tuning import preset  # deferred: tuning imports this module's helpers
-
-        cfg = preset(name, preset_name)
-        return AlgorithmSpec(name, variant, config_id=preset_name, values=dict(cfg.values))
-    if kv:
-        values = {k: float(v) for k, v in kv.items()}
-        return AlgorithmSpec(name, variant, config_id="custom", values=values)
-    if info.tunable:
-        from .tuning import preset
-
-        cfg = preset(name, "original")
-        return AlgorithmSpec(name, variant, config_id="original", values=dict(cfg.values))
-    return AlgorithmSpec(name, variant, config_id="default", values={})
+    config_id, values = resolve_config(name, variant, preset_name, kv)
+    return AlgorithmSpec(name, variant, config_id=config_id, values=values)
 
 
 @dataclass(frozen=True)

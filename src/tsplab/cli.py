@@ -20,6 +20,7 @@ from .bench import (
     write_csv,
     write_json_report,
     _parse_instance_line,
+    _parse_kv,
 )
 from .errors import TsplabError
 from .instances import (
@@ -30,8 +31,8 @@ from .instances import (
     render_instance,
 )
 from .refine import PromptTemplate, RefinementRequest, load_template, render_prompt
-from .solvers import ALGORITHMS, SolveBudget, get_algorithm, run_solver
-from .tuning import SPACES, preset, race
+from .solvers import ALGORITHMS, SPACES, SolveBudget, get_algorithm, resolve_config, run_solver
+from .tuning import race
 
 
 class _UsageError(Exception):
@@ -107,16 +108,6 @@ def _echo_config(seed, time_scale, rounding) -> None:
           file=sys.stderr)
 
 
-def _parse_inline_config(text: str) -> dict:
-    values = {}
-    for chunk in text.split(","):
-        key, sep, value = chunk.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value in --config, got {chunk!r}")
-        values[key.strip()] = float(value)
-    return values
-
-
 def _cmd_gen(args) -> int:
     _echo_config(args.seed, "-", "-")
     inst = generate_random_instance(args.n, args.seed, (args.lo, args.hi))
@@ -133,25 +124,14 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     if args.preset is not None and args.config is not None:
         raise _UsageError("--preset and --config are mutually exclusive")
+    if args.variant not in get_algorithm(args.algorithm).variants:
+        raise _UsageError(f"--variant {args.variant!r} not offered by {args.algorithm}")
     _echo_config(args.seed, args.time_scale, args.rounding)
+    inline = None if args.config is None else _parse_kv(args.config.split(","), "--config")
+    config_id, values = resolve_config(args.algorithm, args.variant, args.preset, inline)
     with open(args.instance, encoding="utf-8") as fh:
         inst = parse_instance(fh.read())
     matrix = build_distance_matrix(inst, rounding=args.rounding)
-    info = get_algorithm(args.algorithm)
-    if args.variant not in info.variants:
-        raise _UsageError(f"--variant {args.variant!r} not offered by {args.algorithm}")
-    if args.preset is not None:
-        config_id = args.preset
-        values = dict(preset(args.algorithm, args.preset).values)
-    elif args.config is not None:
-        config_id = "custom"
-        values = _parse_inline_config(args.config)
-    elif info.tunable:
-        config_id = "original"
-        values = dict(preset(args.algorithm, "original").values)
-    else:
-        config_id = "default"
-        values = {}
     budget = SolveBudget(
         time_limit=float(time_limit_for(inst.dimension, args.time_scale)),
         max_evaluations=args.max_evaluations,

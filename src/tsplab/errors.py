@@ -50,7 +50,11 @@ class NonFiniteInput(TsplabError):
 
 
 class UnknownAlgorithm(TsplabError):
-    """Algorithm id not in the registry / preset table."""
+    """Algorithm id not in the registry, or one without presets."""
+
+
+class UnknownParameter(TsplabError, ValueError):
+    """Parameter name that the algorithm's params dataclass does not have."""
 
 
 class NoSuchColumn(TsplabError):

@@ -17,6 +17,7 @@ from .errors import (
     MissingField,
     NegativeDistance,
     NoCoordinates,
+    NonFiniteInput,
     NonSymmetric,
     UnsupportedFormat,
 )
@@ -167,7 +168,8 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
 
     rounding applies to EUC_2D only: "tsplib_nint" rounds each distance to
     the nearest integer; GEO always follows the TSPLIB geographic convention
-    (which truncates); EXPLICIT copies the stored matrix.
+    (which truncates); EXPLICIT copies the stored matrix. NaN or infinite
+    coordinates or entries raise NonFiniteInput.
     """
     if rounding not in ROUNDING_MODES:
         raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {rounding!r}")
@@ -175,6 +177,8 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
         d = np.asarray(inst.matrix, dtype=float)
         if d.shape != (inst.dimension, inst.dimension):
             raise CountMismatch(f"matrix shape {d.shape} for dimension {inst.dimension}")
+        if not np.isfinite(d).all():
+            raise NonFiniteInput(f"instance {inst.name} has NaN or infinite distances")
         if np.abs(d - d.T).max() > 1e-9:
             raise NonSymmetric("explicit matrix asymmetric beyond 1e-9")
         if (d < 0).any():
@@ -184,6 +188,8 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} has no coordinates")
     pts = np.asarray(inst.coords, dtype=float)
+    if not np.isfinite(pts).all():
+        raise NonFiniteInput(f"instance {inst.name} has NaN or infinite coordinates")
     if inst.kind == "EUC_2D":
         diff = pts[:, None, :] - pts[None, :, :]
         d = np.hypot(diff[..., 0], diff[..., 1])

@@ -1,19 +1,20 @@
-"""Solver registry: one uniform entry point per algorithm for harness and CLI."""
+"""Solver registry: one uniform entry point per algorithm for harness and CLI.
+
+Each solver module declares its algorithm's SolverSpec; everything below is
+derived from those specs.
+"""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
-from ..errors import UnknownAlgorithm
+from ..errors import UnknownAlgorithm, UnknownParameter
 from ..instances import Instance
-from ..tours import tour_length
+from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
 from .aco import AcoParams, solve_aco
 from .alns import AlnsParams, solve_alns, update_weights
-from .base import RunTracker, SolveBudget, SolveResult
-from .branch_bound import BB_VARIANTS, OptResult, bound_cache, branch_and_bound, root_lower_bound
+from .base import PRESET_COLUMNS, ParamConfig, ParamDef, ParamSpace, SolveBudget, SolveResult, SolverSpec
+from .branch_bound import OptResult, bound_cache, branch_and_bound, root_lower_bound
 from .constructive import christofides, convex_hull, convex_hull_tour, greedy_matching, minimum_spanning_tree
-from .ga import GA_VARIANTS, GaParams, nn_seed_count, solve_ga
+from .ga import GaParams, nn_seed_count, solve_ga
 from .rl import (
     RlParams,
     boltzmann_probabilities,
@@ -21,15 +22,16 @@ from .rl import (
     q_update,
     solve_qlearning,
     solve_sarsa,
-    SARSA_VARIANTS,
 )
-from .sa import SA_VARIANTS, SaParams, lundy_mees_beta, lundy_mees_step, metropolis_accept, solve_sa
+from .sa import SaParams, lundy_mees_beta, lundy_mees_step, metropolis_accept, solve_sa
 from .tabu import TabuParams, solve_tabu
 
 __all__ = [
     "AcoParams", "AlnsParams", "GaParams", "RlParams", "SaParams", "TabuParams",
-    "SolveBudget", "SolveResult", "OptResult", "RunOutcome", "AlgorithmInfo",
-    "ALGORITHMS", "get_algorithm", "run_solver",
+    "SolveBudget", "SolveResult", "OptResult", "SolverSpec",
+    "PRESET_COLUMNS", "ParamConfig", "ParamDef", "ParamSpace", "SPACES",
+    "ALGORITHMS", "get_algorithm", "parameter_space", "preset", "resolve_config",
+    "run_solver",
     "solve_aco", "solve_alns", "solve_ga", "solve_qlearning", "solve_sarsa",
     "solve_sa", "solve_tabu", "branch_and_bound", "christofides",
     "convex_hull", "convex_hull_tour", "minimum_spanning_tree", "greedy_matching",
@@ -38,79 +40,57 @@ __all__ = [
     "metropolis_accept", "nn_seed_count", "update_weights",
 ]
 
+ALGORITHMS: dict[str, SolverSpec] = {spec.name: spec for spec in (
+    aco.SPEC, ga.SPEC, alns.SPEC, tabu.SPEC, sa.SPEC, rl.QLEARNING_SPEC, rl.SARSA_SPEC,
+    constructive.CHRISTOFIDES_SPEC, constructive.CONVEX_HULL_SPEC, branch_bound.SPEC,
+)}
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """Solver-agnostic result shape consumed by the benchmark harness."""
-
-    best: list[int]
-    best_cost: float
-    elapsed: float
-    evaluations: int | None = None
-    nodes_expanded: int | None = None
-    trajectory: list[tuple[float, float]] | None = None
-    proven_optimal: bool | None = None
-
-
-@dataclass(frozen=True)
-class AlgorithmInfo:
-    name: str
-    kind: str  # stochastic | deterministic | exact
-    variants: tuple[str, ...]
-    tunable: bool
-
-
-ALGORITHMS: dict[str, AlgorithmInfo] = {
-    "aco": AlgorithmInfo("aco", "stochastic", ("baseline",), True),
-    "ga": AlgorithmInfo("ga", "stochastic", GA_VARIANTS, True),
-    "alns": AlgorithmInfo("alns", "stochastic", ("baseline",), True),
-    "tabu": AlgorithmInfo("tabu", "stochastic", ("baseline",), True),
-    "sa": AlgorithmInfo("sa", "stochastic", SA_VARIANTS, True),
-    "qlearning": AlgorithmInfo("qlearning", "stochastic", ("baseline",), True),
-    "sarsa": AlgorithmInfo("sarsa", "stochastic", SARSA_VARIANTS, True),
-    "christofides": AlgorithmInfo("christofides", "deterministic", ("baseline",), False),
-    "convex_hull": AlgorithmInfo("convex_hull", "deterministic", ("baseline",), False),
-    "branch_and_bound": AlgorithmInfo("branch_and_bound", "exact", BB_VARIANTS, False),
+SPACES: dict[str, ParamSpace] = {
+    name: spec.space() for name, spec in ALGORITHMS.items() if spec.tunable
 }
 
 
-def get_algorithm(name: str) -> AlgorithmInfo:
+def get_algorithm(name: str) -> SolverSpec:
     try:
         return ALGORITHMS[name]
     except KeyError:
         raise UnknownAlgorithm(f"unknown algorithm: {name!r}") from None
 
 
-_PARAM_TYPES = {
-    "aco": AcoParams,
-    "ga": GaParams,
-    "alns": AlnsParams,
-    "tabu": TabuParams,
-    "sa": SaParams,
-    "qlearning": RlParams,
-    "sarsa": RlParams,
-}
-
-_INT_FIELDS = {"ants", "population_size", "elite_count", "tenure", "episodes"}
+def parameter_space(algorithm: str) -> ParamSpace:
+    if algorithm not in SPACES:
+        raise UnknownAlgorithm(f"no parameter space for algorithm {algorithm!r}")
+    return SPACES[algorithm]
 
 
-def build_params(algorithm: str, values: dict):
-    """Coerce a name -> value mapping into the solver's parameter bundle.
+def preset(algorithm: str, column: str) -> ParamConfig:
+    """The shipped tuned values for one algorithm and source column."""
+    return get_algorithm(algorithm).preset(column)
 
-    Missing entries fall back to the original-configuration preset so callers
-    may give only the knobs they care about.
-    """
-    cls = _PARAM_TYPES.get(algorithm)
-    if cls is None:
-        raise UnknownAlgorithm(f"algorithm {algorithm!r} takes no parameters")
-    from ..tuning import preset  # deferred: tuning depends on this package
 
-    merged = dict(preset(algorithm, "original").values)
-    merged.update(values)
-    coerced = {
-        k: int(round(v)) if k in _INT_FIELDS else float(v) for k, v in merged.items()
-    }
-    return cls(**coerced)
+def resolve_config(
+    algorithm: str, variant: str, preset: str | None = None, values: dict | None = None,
+) -> tuple[str, dict]:
+    """(config_id, values) of one run: a named preset column, inline values
+    ("custom", each converted to float), or else the original preset of a
+    tunable solver ("original") and no values for the others ("default")."""
+    spec = get_algorithm(algorithm)
+    if variant not in spec.variants:
+        raise ValueError(f"{algorithm} has no variant {variant!r}")
+    if preset is not None and values:
+        raise ValueError(f"give either preset= or inline values for {algorithm}, not both")
+    if preset is not None:
+        return preset, dict(spec.preset(preset).values)
+    if values:
+        known = spec.field_types
+        unknown = ", ".join(repr(k) for k in values if k not in known)
+        if unknown:
+            raise UnknownParameter(f"{algorithm} has no parameter {unknown}; "
+                                   f"valid: {', '.join(known) or 'none'}")
+        return "custom", {k: float(v) for k, v in values.items()}
+    if spec.tunable:
+        return "original", dict(spec.preset("original").values)
+    return "default", {}
 
 
 def run_solver(
@@ -121,48 +101,14 @@ def run_solver(
     variant: str,
     budget: SolveBudget | None,
     seed: int,
-) -> RunOutcome:
-    """Dispatch one run; stochastic solvers require params and a budget."""
-    info = get_algorithm(algorithm)
-    if variant not in info.variants:
-        raise ValueError(f"{algorithm} has no variant {variant!r}")
+) -> SolveResult:
+    """Run one algorithm; stochastic solvers require a budget.
 
-    if info.kind == "deterministic":
-        started = time.perf_counter()
-        tour = christofides(matrix) if algorithm == "christofides" else convex_hull_tour(inst, matrix)
-        elapsed = time.perf_counter() - started
-        cost = tour_length(tour, matrix)
-        return RunOutcome(
-            best=tour, best_cost=cost, elapsed=elapsed, evaluations=1,
-            trajectory=[(elapsed, cost)],
-        )
-
-    if info.kind == "exact":
-        time_cap = budget.time_limit if budget is not None else None
-        opt = branch_and_bound(matrix, variant=variant, time_cap=time_cap)
-        return RunOutcome(
-            best=opt.best, best_cost=opt.best_cost, elapsed=opt.elapsed,
-            nodes_expanded=opt.nodes_expanded, proven_optimal=opt.proven_optimal,
-        )
-
-    if budget is None:
+    values override the original preset, so callers may give only the knobs
+    they care about.
+    """
+    spec = get_algorithm(algorithm)
+    _, values = resolve_config(algorithm, variant, values=values)
+    if spec.kind == "stochastic" and budget is None:
         raise ValueError(f"{algorithm} needs a budget")
-    params = build_params(algorithm, values or {})
-    if algorithm == "aco":
-        result = solve_aco(matrix, params, budget, seed)
-    elif algorithm == "ga":
-        result = solve_ga(matrix, params, budget, seed, variant=variant)
-    elif algorithm == "alns":
-        result = solve_alns(matrix, params, budget, seed)
-    elif algorithm == "tabu":
-        result = solve_tabu(matrix, params, budget, seed)
-    elif algorithm == "sa":
-        result = solve_sa(matrix, params, budget, seed, variant=variant)
-    elif algorithm == "qlearning":
-        result = solve_qlearning(matrix, params, budget, seed)
-    else:
-        result = solve_sarsa(matrix, params, budget, seed, variant=variant)
-    return RunOutcome(
-        best=result.best, best_cost=result.best_cost, elapsed=result.elapsed,
-        evaluations=result.evaluations, trajectory=result.trajectory,
-    )
+    return spec.run(inst, matrix, spec.make_params(values), variant, budget, seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import tour_length
-from .base import RunTracker, SolveBudget, SolveResult
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _TINY = 1e-12
 
@@ -67,6 +67,19 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
                 prev = city
         if tracker.out_of_budget():
             return tracker.result()
+
+
+SPEC = SolverSpec(
+    "aco", "stochastic", ("baseline",),
+    run=lambda inst, d, p, variant, b, seed: solve_aco(d, p, b, seed),
+    params=AcoParams,
+    tuning={
+        "ants": ((2, 20), (7, 4, 2, 3, 17, 20)),
+        "alpha": ((1.0, 2.0), (1.34, 1.72, 1.67, 1.46, 1.72, 1.22)),
+        "beta": ((1.0, 2.0), (1.59, 1.24, 1.98, 1.97, 1.93, 1.55)),
+        "evaporation_rate": ((0.01, 0.3), (0.24, 0.12, 0.24, 0.29, 0.06, 0.05)),
+    },
+)
 
 
 def _construct(dist, tau, eta, alpha, beta, n, rng) -> list[int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
-from .base import RunTracker, SolveBudget, SolveResult
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _SCORES = (3.0, 1.0, 0.0)  # new global best, accepted, rejected
 
@@ -60,7 +60,7 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     k_remove = min(max(1, math.ceil(p.removal_fraction * n)), n - 1)
 
     while not tracker.out_of_budget():
-        op = _roulette(weights, rng)
+        op = roulette(weights, rng)
         if op == 0:
             removed = rng.sample(current, k_remove)
         else:
@@ -80,12 +80,29 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     return tracker.result()
 
 
-def _roulette(weights, rng) -> int:
+SPEC = SolverSpec(
+    "alns", "stochastic", ("baseline",),
+    run=lambda inst, d, p, variant, b, seed: solve_alns(d, p, b, seed),
+    params=AlnsParams,
+    tuning={
+        "removal_fraction": ((0.05, 0.3), (0.27, 0.05, 0.26, 0.29, 0.22, 0.29)),
+        "reaction_factor": ((0.01, 0.3), (0.27, 0.25, 0.04, 0.2, 0.27, 0.02)),
+    },
+)
+
+
+def roulette(weights: list[float], rng) -> int:
+    """Index drawn with probability proportional to its weight; 0 when all are zero."""
     total = sum(weights)
     if total <= 0.0:
         return 0
     r = rng.random() * total
-    return 0 if r < weights[0] else 1
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return k
+    return len(weights) - 1
 
 
 def _worst_contributors(tour, dist, k) -> list[int]:

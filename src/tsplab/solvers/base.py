@@ -1,9 +1,16 @@
-"""Shared solver plumbing: budgets, results, and best-so-far tracking."""
+"""Shared solver plumbing: budgets, results, best-so-far tracking, and the
+SolverSpec each solver module declares to describe itself to the lab."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, get_type_hints
+
+from ..errors import NoSuchColumn, UnknownAlgorithm
+
+PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
 
 
 @dataclass(frozen=True)
@@ -33,14 +40,18 @@ class SolveResult:
     trajectory holds (elapsed seconds, cost) at each strict improvement, so
     its costs are strictly decreasing and the last equals best_cost. All
     fields except elapsed and trajectory times are deterministic in the seed.
+    The exact solver reports nodes_expanded and proven_optimal instead of
+    evaluations and a trajectory.
     """
 
     best: list[int]
     best_cost: float
-    trajectory: list[tuple[float, float]]
-    evaluations: int
+    trajectory: list[tuple[float, float]] | None
+    evaluations: int | None
     seed: int
     elapsed: float
+    nodes_expanded: int | None = None
+    proven_optimal: bool | None = None
 
 
 @dataclass
@@ -86,3 +97,85 @@ class RunTracker:
             seed=self.seed,
             elapsed=self.elapsed(),
         )
+
+
+@dataclass(frozen=True)
+class ParamDef:
+    name: str
+    kind: str  # "int" | "real"
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.kind not in ("int", "real"):
+            raise ValueError(f"kind must be int or real, got {self.kind!r}")
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+
+
+@dataclass(frozen=True)
+class ParamSpace:
+    algorithm: str
+    params: tuple[ParamDef, ...]
+
+
+@dataclass(frozen=True)
+class ParamConfig:
+    algorithm: str
+    values: dict
+    provenance: str
+
+
+@dataclass(frozen=True)
+class SolverSpec:
+    """Everything the lab knows about one algorithm, declared once beside it.
+
+    tuning maps each tuned parameter to ((lo, hi), cells): its search range
+    and one preset cell per PRESET_COLUMNS entry. Whether a parameter is int
+    or real is its field type in the params dataclass. run(inst, d, params,
+    variant, budget, seed) returns a SolveResult.
+    """
+
+    name: str
+    kind: str  # stochastic | deterministic | exact
+    variants: tuple[str, ...]
+    run: Callable[..., SolveResult]
+    params: type | None = None
+    tuning: dict[str, tuple[tuple[float, float], tuple]] = field(default_factory=dict)
+
+    @property
+    def tunable(self) -> bool:
+        return bool(self.tuning)
+
+    @cached_property
+    def field_types(self) -> dict[str, type]:
+        """Parameter name -> type, for every field of the params dataclass."""
+        return get_type_hints(self.params) if self.params is not None else {}
+
+    def space(self) -> ParamSpace:
+        types = self.field_types
+        return ParamSpace(self.name, tuple(
+            ParamDef(name, "int" if types[name] is int else "real", lo, hi)
+            for name, ((lo, hi), _) in self.tuning.items()
+        ))
+
+    def preset(self, column: str) -> ParamConfig:
+        """The shipped tuned values for one source column."""
+        if not self.tunable:
+            raise UnknownAlgorithm(f"no presets for algorithm {self.name!r}")
+        if column not in PRESET_COLUMNS:
+            raise NoSuchColumn(f"no preset column {column!r}; one of {PRESET_COLUMNS}")
+        idx = PRESET_COLUMNS.index(column)
+        values = {name: cells[idx] for name, (_, cells) in self.tuning.items()}
+        return ParamConfig(algorithm=self.name, values=values, provenance=f"preset({column})")
+
+    def make_params(self, values: dict):
+        """The params bundle: the original preset overridden by values, each
+        coerced to its field type; None for solvers that take no parameters."""
+        if self.params is None:
+            return None
+        types = self.field_types
+        merged = {**self.preset("original").values, **values}
+        return self.params(**{
+            k: int(round(v)) if types[k] is int else float(v) for k, v in merged.items()
+        })

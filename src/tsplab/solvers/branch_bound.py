@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
+from .base import SolveResult, SolverSpec
 
 BB_VARIANTS = ("baseline", "enhanced_r1")
 
@@ -145,3 +146,13 @@ def branch_and_bound(
         elapsed=time.perf_counter() - started,
         proven_optimal=not capped,
     )
+
+
+def _run(inst, d, params, variant, budget, seed) -> SolveResult:
+    opt = branch_and_bound(d, variant, time_cap=None if budget is None else budget.time_limit)
+    return SolveResult(opt.best, opt.best_cost, trajectory=None, evaluations=None, seed=seed,
+                       elapsed=opt.elapsed, nodes_expanded=opt.nodes_expanded,
+                       proven_optimal=opt.proven_optimal)
+
+
+SPEC = SolverSpec("branch_and_bound", "exact", BB_VARIANTS, run=_run)

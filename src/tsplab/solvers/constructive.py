@@ -7,10 +7,14 @@ blossom matching, which weakens the classical 1.5 approximation guarantee to
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..errors import DegenerateInput, NoCoordinates
 from ..instances import Instance
+from ..tours import tour_length
+from .base import SolveResult, SolverSpec
 
 _EPS = 1e-12
 
@@ -162,3 +166,26 @@ def convex_hull_tour(inst: Instance, d, criterion: str = "ratio") -> list[int]:
         tour.insert(pos, k)
         remaining.remove(k)
     return tour
+
+
+def _timed(construct):
+    """A SolverSpec run function that times one construction and costs its tour."""
+    def run(inst, d, params, variant, budget, seed) -> SolveResult:
+        started = time.perf_counter()
+        tour = construct(inst, d)
+        elapsed = time.perf_counter() - started
+        cost = tour_length(tour, d)
+        return SolveResult(best=tour, best_cost=cost, trajectory=[(elapsed, cost)],
+                           evaluations=1, seed=seed, elapsed=elapsed)
+    return run
+
+
+CHRISTOFIDES_SPEC = SolverSpec(
+    "christofides", "deterministic", ("baseline",),
+    run=_timed(lambda inst, d: christofides(d)),
+)
+
+CONVEX_HULL_SPEC = SolverSpec(
+    "convex_hull", "deterministic", ("baseline",),
+    run=_timed(convex_hull_tour),
+)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length, two_opt
-from .base import RunTracker, SolveBudget, SolveResult
+from .alns import roulette, update_weights
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _TINY = 1e-12
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
@@ -74,7 +75,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
         while len(new_pop) < p.population_size:
             if hybrid:
                 i1, i2 = _tournament(costs, rng), _tournament(costs, rng)
-                op = _roulette(op_weights, rng)
+                op = roulette(op_weights, rng)
             else:
                 weights = [1.0 / (c + _TINY) for c in costs]
                 i1, i2 = rng.choices(range(p.population_size), weights=weights, k=2)
@@ -98,9 +99,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
                 score = _SCORE_GLOBAL_BEST if was_best else (
                     _SCORE_IMPROVED if child_cost < min(costs[i1], costs[i2]) else 0.0
                 )
-                for k in range(3):
-                    earned = score if k == op else 0.0
-                    op_weights[k] = (1.0 - _OPERATOR_REACTION) * op_weights[k] + _OPERATOR_REACTION * earned
+                op_weights = update_weights(op_weights, op, score, _OPERATOR_REACTION)
             new_pop.append(child)
             new_costs.append(child_cost)
             if tracker.out_of_budget():
@@ -109,6 +108,18 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
         if hybrid:
             _refresh_duplicates(pop, costs, dist, n, p, rng, tracker)
     return tracker.result()
+
+
+SPEC = SolverSpec(
+    "ga", "stochastic", GA_VARIANTS,
+    run=lambda inst, d, p, variant, b, seed: solve_ga(d, p, b, seed, variant=variant),
+    params=GaParams,
+    tuning={
+        "population_size": ((5, 100), (97, 14, 97, 84, 55, 58)),
+        "mutation_rate": ((0.01, 0.2), (0.02, 0.04, 0.16, 0.16, 0.01, 0.13)),
+        "elite_count": ((1, 5), (4, 2, 5, 2, 3, 5)),
+    },
+)
 
 
 def _initial_population(dist, n, p, rng, hybrid, tracker):
@@ -135,19 +146,6 @@ def _tournament(costs, rng) -> int:
     # Size-2 tournament on rank: the cheaper individual wins, index breaks ties.
     i, j = rng.randrange(len(costs)), rng.randrange(len(costs))
     return min(i, j, key=lambda k: (costs[k], k))
-
-
-def _roulette(weights, rng) -> int:
-    total = sum(weights)
-    if total <= 0.0:
-        return 0
-    r = rng.random() * total
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return k
-    return len(weights) - 1
 
 
 def _order_crossover(p1, p2, rng) -> list[int]:

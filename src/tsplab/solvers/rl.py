@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
 from ..tours import tour_length
-from .base import RunTracker, SolveBudget, SolveResult
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SARSA_VARIANTS = ("baseline", "boltzmann_o1")
 
@@ -82,6 +82,31 @@ def solve_sarsa(d, p: RlParams, b: SolveBudget, seed: int, variant: str = "basel
     if variant not in SARSA_VARIANTS:
         raise ValueError(f"unknown SARSA variant: {variant!r}")
     return _train(d, p, b, seed, on_policy=True, boltzmann=variant == "boltzmann_o1")
+
+
+QLEARNING_SPEC = SolverSpec(
+    "qlearning", "stochastic", ("baseline",),
+    run=lambda inst, d, p, variant, b, seed: solve_qlearning(d, p, b, seed),
+    params=RlParams,
+    tuning={
+        "learning_rate": ((0.01, 0.5), (0.44, 0.15, 0.26, 0.49, 0.46, 0.34)),
+        "discount": ((0.8, 0.99), (0.97, 0.82, 0.98, 0.87, 0.98, 0.82)),
+        "epsilon": ((0.01, 0.3), (0.09, 0.28, 0.03, 0.24, 0.21, 0.13)),
+        "episodes": ((1000, 10000), (4266, 1082, 4906, 2474, 1294, 1989)),
+    },
+)
+
+SARSA_SPEC = SolverSpec(
+    "sarsa", "stochastic", SARSA_VARIANTS,
+    run=lambda inst, d, p, variant, b, seed: solve_sarsa(d, p, b, seed, variant=variant),
+    params=RlParams,
+    tuning={
+        "learning_rate": ((0.01, 0.5), (0.04, 0.36, 0.49, 0.19, 0.41, 0.29)),
+        "discount": ((0.8, 0.99), (0.86, 0.91, 0.8, 0.88, 0.83, 0.87)),
+        "epsilon": ((0.01, 0.3), (0.23, 0.18, 0.16, 0.08, 0.12, 0.16)),
+        "episodes": ((100, 5000), (105, 156, 1850, 137, 124, 1711)),
+    },
+)
 
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:

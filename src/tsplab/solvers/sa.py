@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
-from .base import RunTracker, SolveBudget, SolveResult
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SA_VARIANTS = ("baseline", "lundy_mees_r1")
 
@@ -112,3 +112,15 @@ def solve_sa(
         if temperature_trace is not None:
             temperature_trace.append(temperature)
     return tracker.result()
+
+
+SPEC = SolverSpec(
+    "sa", "stochastic", SA_VARIANTS,
+    run=lambda inst, d, p, variant, b, seed: solve_sa(d, p, b, seed, variant=variant),
+    params=SaParams,
+    tuning={
+        "t_start": ((1.0, 50.0), (12, 49, 9, 30, 35, 50)),
+        "t_final": ((0.0001, 0.1), (0.0547, 0.0464, 0.074, 0.056, 0.0433, 0.048)),
+        "cooling_rate": ((0.8, 0.99), (0.9895, 0.8732, 0.8956, 0.8131, 0.9154, 0.8777)),
+    },
+)

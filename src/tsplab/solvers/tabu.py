@@ -10,13 +10,12 @@ the search never deadlocks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
-from .base import RunTracker, SolveBudget, SolveResult
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _EPS = 1e-12
 
@@ -46,7 +45,6 @@ def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
     n = len(d)
     dist = d.tolist() if isinstance(d, np.ndarray) else [list(row) for row in d]
     tracker = RunTracker(budget=b, seed=seed)
-    _ = random.Random(seed)  # search itself is deterministic; seed kept for the record
 
     current = nearest_neighbor_tour(dist, start=0)
     current_cost = tour_length(current, dist)
@@ -94,3 +92,11 @@ def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
             tabu = {k: exp for k, exp in tabu.items() if exp >= iteration}
     # Below 4 cities the 2-opt neighborhood is empty and the NN tour is final.
     return tracker.result()
+
+
+SPEC = SolverSpec(
+    "tabu", "stochastic", ("baseline",),
+    run=lambda inst, d, p, variant, b, seed: solve_tabu(d, p, b, seed),
+    params=TabuParams,
+    tuning={"tenure": ((3, 30), (8, 12, 30, 15, 10, 9))},
+)

@@ -1,10 +1,10 @@
-"""Parameter spaces, shipped tuned presets, and a transparent racing tuner.
+"""Configuration sampling and a transparent racing tuner.
 
-The preset table carries one tuned column per source configuration
-(original, claude, gemini, llama, o1, r1) for each of the seven stochastic
-algorithms. The race is a simplified stand-in for a full configurator: mean
-rank plus one standard error decides eliminations round by round under an
-exact run budget.
+Parameter spaces and the shipped tuned presets (one column per source
+configuration: original, claude, gemini, llama, o1, r1) come from each
+solver's SolverSpec, through tsplab.solvers. The race is a simplified stand-in
+for a full configurator: mean rank plus one standard error decides
+eliminations round by round under an exact run budget.
 """
 
 from __future__ import annotations
@@ -14,135 +14,11 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .errors import BudgetTooSmall, NoSuchColumn, UnknownAlgorithm
+from .bench import time_limit_for
+from .errors import BudgetTooSmall
 from .instances import Instance, build_distance_matrix
 from .seeding import stable_hash
-from .solvers import SolveBudget, run_solver
-
-PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
-
-
-@dataclass(frozen=True)
-class ParamDef:
-    name: str
-    kind: str  # "int" | "real"
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.kind not in ("int", "real"):
-            raise ValueError(f"kind must be int or real, got {self.kind!r}")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class ParamSpace:
-    algorithm: str
-    params: tuple[ParamDef, ...]
-
-
-@dataclass(frozen=True)
-class ParamConfig:
-    algorithm: str
-    values: dict
-    provenance: str
-
-
-SPACES: dict[str, ParamSpace] = {
-    "aco": ParamSpace("aco", (
-        ParamDef("ants", "int", 2, 20),
-        ParamDef("alpha", "real", 1.0, 2.0),
-        ParamDef("beta", "real", 1.0, 2.0),
-        ParamDef("evaporation_rate", "real", 0.01, 0.3),
-    )),
-    "ga": ParamSpace("ga", (
-        ParamDef("population_size", "int", 5, 100),
-        ParamDef("mutation_rate", "real", 0.01, 0.2),
-        ParamDef("elite_count", "int", 1, 5),
-    )),
-    "alns": ParamSpace("alns", (
-        ParamDef("removal_fraction", "real", 0.05, 0.3),
-        ParamDef("reaction_factor", "real", 0.01, 0.3),
-    )),
-    "tabu": ParamSpace("tabu", (
-        ParamDef("tenure", "int", 3, 30),
-    )),
-    "sa": ParamSpace("sa", (
-        ParamDef("t_start", "real", 1.0, 50.0),
-        ParamDef("t_final", "real", 0.0001, 0.1),
-        ParamDef("cooling_rate", "real", 0.8, 0.99),
-    )),
-    "qlearning": ParamSpace("qlearning", (
-        ParamDef("learning_rate", "real", 0.01, 0.5),
-        ParamDef("discount", "real", 0.8, 0.99),
-        ParamDef("epsilon", "real", 0.01, 0.3),
-        ParamDef("episodes", "int", 1000, 10000),
-    )),
-    "sarsa": ParamSpace("sarsa", (
-        ParamDef("learning_rate", "real", 0.01, 0.5),
-        ParamDef("discount", "real", 0.8, 0.99),
-        ParamDef("epsilon", "real", 0.01, 0.3),
-        ParamDef("episodes", "int", 100, 5000),
-    )),
-}
-
-# Tuned values per source configuration, column order:
-# original, claude, gemini, llama, o1, r1.
-_PRESET_TABLE: dict[str, dict[str, tuple]] = {
-    "aco": {
-        "ants": (7, 4, 2, 3, 17, 20),
-        "alpha": (1.34, 1.72, 1.67, 1.46, 1.72, 1.22),
-        "beta": (1.59, 1.24, 1.98, 1.97, 1.93, 1.55),
-        "evaporation_rate": (0.24, 0.12, 0.24, 0.29, 0.06, 0.05),
-    },
-    "ga": {
-        "population_size": (97, 14, 97, 84, 55, 58),
-        "mutation_rate": (0.02, 0.04, 0.16, 0.16, 0.01, 0.13),
-        "elite_count": (4, 2, 5, 2, 3, 5),
-    },
-    "alns": {
-        "removal_fraction": (0.27, 0.05, 0.26, 0.29, 0.22, 0.29),
-        "reaction_factor": (0.27, 0.25, 0.04, 0.2, 0.27, 0.02),
-    },
-    "tabu": {
-        "tenure": (8, 12, 30, 15, 10, 9),
-    },
-    "sa": {
-        "t_start": (12, 49, 9, 30, 35, 50),
-        "t_final": (0.0547, 0.0464, 0.074, 0.056, 0.0433, 0.048),
-        "cooling_rate": (0.9895, 0.8732, 0.8956, 0.8131, 0.9154, 0.8777),
-    },
-    "qlearning": {
-        "learning_rate": (0.44, 0.15, 0.26, 0.49, 0.46, 0.34),
-        "discount": (0.97, 0.82, 0.98, 0.87, 0.98, 0.82),
-        "epsilon": (0.09, 0.28, 0.03, 0.24, 0.21, 0.13),
-        "episodes": (4266, 1082, 4906, 2474, 1294, 1989),
-    },
-    "sarsa": {
-        "learning_rate": (0.04, 0.36, 0.49, 0.19, 0.41, 0.29),
-        "discount": (0.86, 0.91, 0.8, 0.88, 0.83, 0.87),
-        "epsilon": (0.23, 0.18, 0.16, 0.08, 0.12, 0.16),
-        "episodes": (105, 156, 1850, 137, 124, 1711),
-    },
-}
-
-
-def parameter_space(algorithm: str) -> ParamSpace:
-    if algorithm not in SPACES:
-        raise UnknownAlgorithm(f"no parameter space for algorithm {algorithm!r}")
-    return SPACES[algorithm]
-
-
-def preset(algorithm: str, column: str) -> ParamConfig:
-    """The shipped tuned values for one algorithm and source column."""
-    if algorithm not in _PRESET_TABLE:
-        raise UnknownAlgorithm(f"no presets for algorithm {algorithm!r}")
-    if column not in PRESET_COLUMNS:
-        raise NoSuchColumn(f"no preset column {column!r}; one of {PRESET_COLUMNS}")
-    idx = PRESET_COLUMNS.index(column)
-    values = {name: cells[idx] for name, cells in _PRESET_TABLE[algorithm].items()}
-    return ParamConfig(algorithm=algorithm, values=values, provenance=f"preset({column})")
+from .solvers import ParamConfig, ParamSpace, SolveBudget, parameter_space, run_solver
 
 
 def sample_config(space: ParamSpace, seed: int) -> ParamConfig:
@@ -257,7 +133,7 @@ def _ranked(round_costs: list[tuple[float, int]]):
 def _default_runner(algorithm: str, variant: str, time_scale: float):
     def run(config: ParamConfig, inst: Instance, run_seed: int) -> float:
         matrix = build_distance_matrix(inst)
-        limit = max(1, math.ceil(time_scale * inst.dimension))  # same rule as the harness
+        limit = time_limit_for(inst.dimension, time_scale)
         outcome = run_solver(
             algorithm, inst, matrix, config.values, variant,
             SolveBudget(time_limit=float(limit)), run_seed,

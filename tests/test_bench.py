@@ -13,6 +13,7 @@ from tsplab import (
     InstanceSpec,
     RunRecord,
     UnknownAlgorithm,
+    UnknownParameter,
     ZeroBaseline,
     compute_gap,
     expand_plan,
@@ -157,6 +158,25 @@ class TestParsePlan:
     def test_unknown_algorithm(self):
         with pytest.raises(UnknownAlgorithm):
             parse_plan("[instances]\nrandom n=5 seed=0\n[algorithms]\nsimplex\n")
+
+    @pytest.mark.parametrize("line,name", [
+        ("tabu tenur=9", "tenur"),
+        ("christofides tenure=9", "tenure"),
+        ("ga variant=hybrid_r1 population_size=20 elite=2", "elite"),
+    ])
+    def test_unknown_parameter(self, line, name):
+        text = f"[instances]\nrandom n=5 seed=0\n[algorithms]\n{line}\n"
+        with pytest.raises(UnknownParameter, match=f"no parameter '{name}'"):
+            parse_plan(text)
+        with pytest.raises(ValueError):
+            parse_plan(text)
+
+    def test_untuned_field_is_a_valid_name(self):
+        plan = parse_plan(
+            "[instances]\nrandom n=5 seed=0\n[algorithms]\nga diversity_threshold=0.3\n"
+        )
+        assert plan.algorithms[0].config_id == "custom"
+        assert plan.algorithms[0].values == {"diversity_threshold": 0.3}
 
 
 class TestExpandPlan:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tsplab
-from tsplab import RunRecord, write_csv
+from tsplab import ALGORITHMS, RunRecord, parse_plan, preset, write_csv
 from tsplab.cli import main
 
 TRIANGLE = """NAME : tri345
@@ -119,11 +119,71 @@ class TestSolve:
                              "--algorithm", "tabu", "--variant", "enhanced_r1")
         assert code == 1
 
+    @pytest.mark.parametrize("algorithm,config", [
+        ("tabu", "tenur=9"),
+        ("christofides", "tenure=9"),
+        ("sa", "t_start=20,cooling=0.9"),
+    ])
+    def test_unknown_parameter_is_data_error(self, capsys, triangle_file, algorithm, config):
+        code, out, err = run_cli(capsys, "solve", "--instance", triangle_file,
+                                 "--algorithm", algorithm, "--config", config)
+        assert code == 2
+        assert "error:" in err and "no parameter" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("algorithm", ["branch_and_bound", "christofides",
+                                           "convex_hull", "sa"])
+    def test_non_finite_coordinate_is_data_error(self, capsys, tmp_path, algorithm):
+        path = tmp_path / "nan.tsp"
+        path.write_text(TRIANGLE.replace("2 3 0", "2 nan 0"), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", "--instance", str(path),
+                                 "--algorithm", algorithm, "--max-evaluations", "50")
+        assert code == 2
+        assert "error:" in err and "NaN or infinite" in err
+        assert out == ""
+
     def test_missing_instance_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--instance", "nope.tsp",
                                "--algorithm", "tabu")
         assert code == 2
         assert "error:" in err
+
+
+def _config_ids(capsys, instance_file, algorithm, cli_flags, plan_keys):
+    """config_id reported by `tsplab solve` and by the equivalent plan line."""
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", instance_file, "--algorithm", algorithm,
+        "--time-scale", "0.1", "--max-evaluations", "20", *cli_flags,
+    )
+    assert code == 0, err
+    plan = parse_plan(f"[instances]\nfile {instance_file}\n"
+                      f"[algorithms]\n{' '.join([algorithm, *plan_keys])}\n")
+    return json.loads(out)["config_id"], plan.algorithms[0].config_id
+
+
+class TestConfigIdContract:
+    """`tsplab solve` and a plan line name a run's configuration alike."""
+
+    @pytest.fixture
+    def six_city_file(self, tmp_path):
+        path = tmp_path / "six.tsp"
+        path.write_text(tsplab.render_instance(tsplab.generate_random_instance(6, 1)),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_no_preset_or_config(self, capsys, six_city_file, algorithm):
+        expected = "original" if ALGORITHMS[algorithm].kind == "stochastic" else "default"
+        assert _config_ids(capsys, six_city_file, algorithm, [], []) == (expected, expected)
+
+    @pytest.mark.parametrize("algorithm", sorted(a for a, s in ALGORITHMS.items() if s.tunable))
+    def test_preset_and_inline(self, capsys, six_city_file, algorithm):
+        assert _config_ids(capsys, six_city_file, algorithm,
+                           ["--preset", "r1"], ["preset=r1"]) == ("r1", "r1")
+        name, value = next(iter(preset(algorithm, "original").values.items()))
+        assert _config_ids(capsys, six_city_file, algorithm,
+                           ["--config", f"{name}={value}"], [f"{name}={value}"]) == (
+            "custom", "custom")
 
 
 class TestBench:

@@ -10,6 +10,7 @@ from tsplab import (
     Instance,
     MissingField,
     NegativeDistance,
+    NonFiniteInput,
     NonSymmetric,
     UnsupportedFormat,
     build_distance_matrix,
@@ -235,6 +236,27 @@ def test_explicit_copy_and_validation():
                    matrix=[[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(NegativeDistance):
         build_distance_matrix(neg)
+
+
+@pytest.mark.parametrize("inst", [
+    Instance(name="nan_euc", dimension=3, kind="EUC_2D",
+             coords=[(0.0, 0.0), (math.nan, 0.0), (0.0, 4.0)]),
+    Instance(name="inf_geo", dimension=3, kind="GEO",
+             coords=[(10.0, 20.0), (11.0, math.inf), (12.0, 22.0)]),
+    Instance(name="nan_explicit", dimension=2, kind="EXPLICIT",
+             matrix=[[0.0, math.nan], [math.nan, 0.0]]),
+    Instance(name="inf_explicit", dimension=2, kind="EXPLICIT",
+             matrix=[[0.0, math.inf], [math.inf, 0.0]]),
+], ids=lambda inst: inst.name)
+def test_build_rejects_non_finite(inst):
+    with pytest.raises(NonFiniteInput):
+        build_distance_matrix(inst)
+
+
+def test_parsed_nan_coordinate_rejected_at_matrix():
+    inst = parse_instance(TRIANGLE_FILE.replace("2 3 0", "2 nan 0"))
+    with pytest.raises(NonFiniteInput, match="tri"):
+        build_distance_matrix(inst)
 
 
 def test_generate_deterministic():

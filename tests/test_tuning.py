@@ -19,7 +19,8 @@ from tsplab import (
     run_solver,
     sample_config,
 )
-from tsplab.tuning import PRESET_COLUMNS, SPACES, _ranked
+from tsplab.solvers import PRESET_COLUMNS, SPACES
+from tsplab.tuning import _ranked
 
 ALGORITHMS = tuple(SPACES)
 
