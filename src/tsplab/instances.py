@@ -169,7 +169,7 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     rounding applies to EUC_2D only: "tsplib_nint" rounds each distance to
     the nearest integer; GEO always follows the TSPLIB geographic convention
     (which truncates); EXPLICIT copies the stored matrix. NaN or infinite
-    coordinates or entries raise NonFiniteInput.
+    coordinates or entries, or distances that overflow, raise NonFiniteInput.
     """
     if rounding not in ROUNDING_MODES:
         raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {rounding!r}")
@@ -190,23 +190,26 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     pts = np.asarray(inst.coords, dtype=float)
     if not np.isfinite(pts).all():
         raise NonFiniteInput(f"instance {inst.name} has NaN or infinite coordinates")
-    if inst.kind == "EUC_2D":
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        if rounding == "tsplib_nint":
-            d = np.floor(d + 0.5)
-        return d
-    # GEO: degrees.minutes decoding, then great-circle distance, truncated.
-    deg = np.floor(pts + 0.5)
-    minutes = pts - deg
-    rad = _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
-    lat, lon = rad[:, 0], rad[:, 1]
-    q1 = np.cos(lon[:, None] - lon[None, :])
-    q2 = np.cos(lat[:, None] - lat[None, :])
-    q3 = np.cos(lat[:, None] + lat[None, :])
-    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
-    d = np.floor(_EARTH_RADIUS * np.arccos(arg) + 1.0)
-    np.fill_diagonal(d, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if inst.kind == "EUC_2D":
+            diff = pts[:, None, :] - pts[None, :, :]
+            d = np.hypot(diff[..., 0], diff[..., 1])
+            del diff  # freed before the finiteness check below allocates
+            if rounding == "tsplib_nint":
+                d = np.floor(d + 0.5)
+        else:  # GEO: degrees.minutes decoding, then great-circle distance, truncated.
+            deg = np.floor(pts + 0.5)
+            minutes = pts - deg
+            rad = _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
+            lat, lon = rad[:, 0], rad[:, 1]
+            q1 = np.cos(lon[:, None] - lon[None, :])
+            q2 = np.cos(lat[:, None] - lat[None, :])
+            q3 = np.cos(lat[:, None] + lat[None, :])
+            arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+            d = np.floor(_EARTH_RADIUS * np.arccos(arg) + 1.0)
+            np.fill_diagonal(d, 0.0)
+    if not np.isfinite(d).all():
+        raise NonFiniteInput(f"instance {inst.name} has distances that overflow")
     return d
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tours import nearest_neighbor_tour, tour_length
+from ..tours import cheapest_insertion, nearest_neighbor_tour, tour_length
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _SCORES = (3.0, 1.0, 0.0)  # new global best, accepted, rejected
@@ -47,7 +47,8 @@ def update_weights(weights: list[float], used: int, score: float, reaction: floa
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     n = len(d)
-    dist = d.tolist() if isinstance(d, np.ndarray) else [list(row) for row in d]
+    matrix = np.asarray(d, dtype=float)
+    dist = matrix.tolist()
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
 
@@ -67,7 +68,7 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
             removed = _worst_contributors(current, dist, k_remove)
         removed_set = set(removed)
         partial = [c for c in current if c not in removed_set]
-        candidate = _cheapest_insertion(partial, sorted(removed_set), dist)
+        candidate = cheapest_insertion(partial, sorted(removed_set), matrix)
         cost = tour_length(candidate, dist)
         tracker.evaluations += 1
         is_best = cost < tracker.best_cost
@@ -114,27 +115,3 @@ def _worst_contributors(tour, dist, k) -> list[int]:
         contributions.append((-detour, city))
     contributions.sort()
     return [city for _, city in contributions[:k]]
-
-
-def _cheapest_insertion(partial: list[int], pending: list[int], dist) -> list[int]:
-    """Insert each pending city at the globally cheapest (city, position) pair."""
-    tour = list(partial)
-    pending = list(pending)
-    while pending:
-        best = None  # (delta, city, position)
-        m = len(tour)
-        for city in pending:
-            if m == 1:
-                delta = 2.0 * dist[tour[0]][city]
-                if best is None or delta < best[0] - 1e-12:
-                    best = (delta, city, 1)
-                continue
-            for pos in range(m):
-                a, bnext = tour[pos - 1], tour[pos]
-                delta = dist[a][city] + dist[city][bnext] - dist[a][bnext]
-                if best is None or delta < best[0] - 1e-12:
-                    best = (delta, city, pos)
-        _, city, pos = best
-        tour.insert(pos, city)
-        pending.remove(city)
-    return tour

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import DegenerateInput, NoCoordinates
 from ..instances import Instance
-from ..tours import tour_length
+from ..tours import cheapest_insertion, tour_length
 from .base import SolveResult, SolverSpec
 
 _EPS = 1e-12
@@ -134,11 +134,13 @@ def convex_hull(points) -> list[int]:
 
 
 def convex_hull_tour(inst: Instance, d, criterion: str = "ratio") -> list[int]:
-    """Hull cycle plus cheapest-insertion of the interior points.
+    """Hull cycle plus cheapest insertion of the interior points.
 
     criterion="ratio" minimizes (d[i][k] + d[k][j]) / d[i][j] over uninserted
     cities k and tour edges (i, j); "detour" minimizes the absolute detour.
-    Ties go to the lowest city index. Hull vertices keep their cyclic order.
+    Ties: the first pair in scan order (city index, then tour position) within
+    1e-12 of the minimum wins, as the old sequential scan did unless a score
+    fell in [min + 1e-12, min + 2e-12). Hull vertices keep their cyclic order.
     """
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} has no coordinates")
@@ -151,21 +153,7 @@ def convex_hull_tour(inst: Instance, d, criterion: str = "ratio") -> list[int]:
         tour = convex_hull(inst.coords)
     except DegenerateInput as exc:
         tour = list(exc.extremes)  # degenerate hull: fall back to the two extremes
-    remaining = sorted(set(range(n)) - set(tour))
-    while remaining:
-        best = None  # (score, city, position)
-        m = len(tour)
-        for k in remaining:
-            for pos in range(m):
-                i, j = tour[pos - 1], tour[pos]
-                detour = d[i][k] + d[k][j] - d[i][j]
-                score = (d[i][k] + d[k][j]) / max(d[i][j], _EPS) if criterion == "ratio" else detour
-                if best is None or score < best[0] - _EPS:
-                    best = (score, k, pos)
-        _, k, pos = best
-        tour.insert(pos, k)
-        remaining.remove(k)
-    return tour
+    return cheapest_insertion(tour, sorted(set(range(n)) - set(tour)), d, criterion)
 
 
 def _timed(construct):

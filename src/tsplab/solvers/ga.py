@@ -191,7 +191,8 @@ def _edge_recombination(p1, p2) -> list[int]:
 
 def _best_cost_insertion_crossover(p1, p2, dist, rng) -> list[int]:
     # Remove a random subroute of parent2's cities from parent1, then reinsert
-    # each removed city at its cheapest position.
+    # each removed city at its cheapest position. Stays a Python loop: numpy per
+    # city measured slower (three test_c06 seeds: 17.7 s before, 23.8 s after).
     n = len(p1)
     max_len = max(1, n // 4)
     length = min(1 + rng.randrange(max_len), n - 2) if n > 3 else 1

@@ -1,4 +1,5 @@
-"""Tour evaluation, validation, nearest-neighbor construction, and 2-opt.
+"""Tour evaluation, validation, nearest-neighbor construction, cheapest
+insertion, and 2-opt.
 
 Tours are stored open (lists of city indices); the closing edge back to the
 first city is implicit in every cost computation. Tie-breaking is always by
@@ -86,6 +87,35 @@ def reversal_delta(order, d, i: int, j: int) -> float:
     a, b = order[i - 1], order[i]
     c, e = order[j], order[(j + 1) % n]
     return d[a][c] + d[b][e] - d[a][b] - d[c][e]
+
+
+def cheapest_insertion(tour, pending, d, criterion: str = "detour") -> list[int]:
+    """Insert the pending cities one at a time, each step at the cheapest spot.
+
+    A step scores every (city k, position p) pair, where p names the tour
+    edge (i, j) = (tour[p-1], tour[p]): "detour" scores d[i][k] + d[k][j] -
+    d[i][j], "ratio" scores (d[i][k] + d[k][j]) / max(d[i][j], 1e-12). It
+    inserts k before tour[p] for the first pair in scan order (pending order,
+    then position) whose score is within 1e-12 of the step's minimum. A
+    one-city tour [t] has no edge: each k scores 2 * d[t][k] and goes after t.
+    """
+    if criterion not in ("ratio", "detour"):
+        raise ValueError(f"unknown insertion criterion: {criterion!r}")
+    dist = np.asarray(d, dtype=float)
+    tour, pending = list(tour), list(pending)
+    while pending:
+        ks, m = np.array(pending)[:, None], len(tour)
+        if m == 1:
+            scores = 2.0 * dist[tour[0], ks]
+        else:
+            prev, nxt = np.array(tour[-1:] + tour[:-1]), np.array(tour)
+            via = dist[prev, ks] + dist[ks, nxt]
+            edge = dist[prev, nxt]
+            scores = via / np.maximum(edge, _EPS) if criterion == "ratio" else via - edge
+        # <= keeps the minimum eligible even where min + 1e-12 rounds to min.
+        city, pos = divmod(int(np.argmax(scores.ravel() <= scores.min() + _EPS)), m)
+        tour.insert(pos if m > 1 else 1, pending.pop(city))
+    return tour
 
 
 def two_opt(

@@ -122,6 +122,36 @@ def has_improving_two_opt(order, d, eps=1e-9):
     return False
 
 
+def reference_cheapest_insertion(tour, pending, d, criterion="detour"):
+    """The sequential pure-Python scans convex-hull construction and ALNS repair
+    ran before insertion was vectorised: keep a new best only when its score
+    is more than 1e-12 below the current one. A one-city tour appends after
+    its city at score 2 * d[t][k], as ALNS repair did."""
+    tour = list(tour)
+    pending = list(pending)
+    while pending:
+        best = None  # (score, city, position)
+        m = len(tour)
+        for k in pending:
+            if m == 1:
+                score = 2.0 * d[tour[0]][k]
+                if best is None or score < best[0] - 1e-12:
+                    best = (score, k, 1)
+                continue
+            for pos in range(m):
+                i, j = tour[pos - 1], tour[pos]
+                if criterion == "ratio":
+                    score = (d[i][k] + d[k][j]) / max(d[i][j], 1e-12)
+                else:
+                    score = d[i][k] + d[k][j] - d[i][j]
+                if best is None or score < best[0] - 1e-12:
+                    best = (score, k, pos)
+        _, k, pos = best
+        tour.insert(pos, k)
+        pending.remove(k)
+    return tour
+
+
 def reference_geo_distance(a, b):
     """Direct transcription of the TSPLIB geographical distance rules."""
     PI = 3.141592

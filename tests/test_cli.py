@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,18 @@ class TestSolve:
                                  "--algorithm", algorithm, "--max-evaluations", "50")
         assert code == 2
         assert "error:" in err and "NaN or infinite" in err
+        assert out == ""
+
+    def test_overflowing_coordinates_are_data_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.tsp"
+        path.write_text(TRIANGLE.replace("2 3 0", "2 1e308 0").replace("3 0 4", "3 -1e308 0"),
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "solve", "--instance", str(path),
+                                     "--algorithm", "convex_hull")
+        assert code == 2
+        assert "error:" in err and "overflow" in err
         assert out == ""
 
     def test_missing_instance_is_data_error(self, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +208,21 @@ class TestConvexHullTour:
         inst, d = _euclid_instance(n, seed)
         tour = convex_hull_tour(inst, d)
         assert tour_length(tour, d) <= 1.5 * brute_force_optimum(d) + 1e-9
+
+    # Tours recorded from the sequential pure-Python insertion scan, which
+    # tests/_oracles.py keeps as reference_cheapest_insertion.
+    @pytest.mark.parametrize("seed,criterion,digest,cost", [
+        (11, "ratio", "4e1aeaaddf86f5bc", 1135.9242739104943),
+        (11, "detour", "960ff3b24a4f6a07", 1118.2595931799901),
+        (12, "ratio", "9aefa9c08c23abae", 1258.1700966870912),
+        (12, "detour", "7ac9cdc4ca9a6ff7", 1217.898670962465),
+    ])
+    def test_seeded_n200_tours_pinned(self, seed, criterion, digest, cost):
+        inst = generate_random_instance(200, seed)
+        d = build_distance_matrix(inst)
+        tour = convex_hull_tour(inst, d, criterion)
+        assert hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16] == digest
+        assert tour_length(tour, d) == cost
 
     def test_tour_cost_against_oracle(self, unit_square):
         inst, d = unit_square

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,10 +248,17 @@ def test_explicit_copy_and_validation():
              matrix=[[0.0, math.nan], [math.nan, 0.0]]),
     Instance(name="inf_explicit", dimension=2, kind="EXPLICIT",
              matrix=[[0.0, math.inf], [math.inf, 0.0]]),
+    # finite coordinates whose distances overflow
+    Instance(name="overflow_euc", dimension=3, kind="EUC_2D",
+             coords=[(0.0, 0.0), (1e308, 0.0), (-1e308, 0.0)]),
+    Instance(name="overflow_geo", dimension=3, kind="GEO",
+             coords=[(0.0, 0.0), (1e308, 0.0), (-1e308, 0.0)]),
 ], ids=lambda inst: inst.name)
 def test_build_rejects_non_finite(inst):
-    with pytest.raises(NonFiniteInput):
-        build_distance_matrix(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+        with pytest.raises(NonFiniteInput):
+            build_distance_matrix(inst)
 
 
 def test_parsed_nan_coordinate_rejected_at_matrix():

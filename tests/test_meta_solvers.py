@@ -158,6 +158,27 @@ def test_alns_near_total_destroy_still_valid():
     assert math.ceil(0.99 * 6) == 6  # clamped internally to n - 1
 
 
+# Recorded from the sequential pure-Python repair scan, which tests/_oracles.py
+# keeps as reference_cheapest_insertion.
+@pytest.mark.parametrize("seed,best_cost", [
+    (1, 823.7436371512413),
+    (2, 869.5121700458155),
+    (3, 823.7436371512413),
+])
+def test_alns_capped_n100_runs_pinned(seed, best_cost):
+    result = solve_alns(random_matrix(100, 5), ALNS_P, SolveBudget(max_evaluations=150), seed)
+    assert (result.best_cost, result.evaluations) == (best_cost, 150)
+
+
+def test_alns_one_city_repair_pinned():
+    # ceil(0.95 * 12) = 12 is clamped to 11 removals, so every repair starts
+    # from a one-city tour.
+    p = AlnsParams(removal_fraction=0.95, reaction_factor=0.27)
+    result = solve_alns(random_matrix(12, 4), p, SolveBudget(max_evaluations=300), 9)
+    assert (result.best_cost, result.evaluations) == (292.11412122361617, 300)
+    assert result.best == [10, 8, 4, 0, 5, 7, 1, 3, 11, 2, 9, 6]
+
+
 # --- Tabu specifics ---------------------------------------------------------
 
 def test_tabu_huge_tenure_no_deadlock():

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsplab import (
     DimensionMismatch,
+    cheapest_insertion,
     nearest_neighbor_tour,
     tour_length,
     two_opt,
@@ -13,7 +15,7 @@ from tsplab import (
 )
 from tsplab.instances import Instance, build_distance_matrix
 
-from ._oracles import has_improving_two_opt, tour_cost
+from ._oracles import has_improving_two_opt, reference_cheapest_insertion, tour_cost
 from .conftest import random_matrix
 
 
@@ -138,3 +140,44 @@ def test_two_opt_cost_agrees_with_oracle_cost():
     d = random_matrix(6, 8)
     order = [3, 1, 4, 0, 5, 2]
     assert tour_length(order, d) == pytest.approx(tour_cost(order, d), abs=1e-12)
+
+
+_UNIFORM = st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+_GRID = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (float(p[0]), float(p[1])))
+
+
+@st.composite
+def _insertion_case(draw, layout):
+    """A matrix, a starting tour of 1 to n-1 cities, and the rest in any order."""
+    n = draw(st.integers(2, 14))
+    order = draw(st.permutations(range(n)))
+    start = draw(st.sampled_from(sorted({1, 2, n - 1} & set(range(1, n)))) | st.integers(1, n - 1))
+    if layout == "asymmetric":  # the scores must read d[i][k] and d[k][j], not their mirrors
+        flat = draw(st.lists(st.floats(0.0, 100.0), min_size=n * n, max_size=n * n))
+        return np.array(flat).reshape(n, n), order[:start], order[start:]
+    if layout == "uniform":
+        pts = draw(st.lists(_UNIFORM, min_size=n, max_size=n))
+    elif layout == "grid":  # many exact ties
+        pts = draw(st.lists(_GRID, min_size=n, max_size=n))
+    else:  # few distinct points, so many zero-length edges
+        pool = draw(st.lists(_UNIFORM, min_size=1, max_size=3))
+        pts = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    d = build_distance_matrix(Instance(name="ins", dimension=n, kind="EUC_2D", coords=pts))
+    return d, order[:start], order[start:]
+
+
+@pytest.mark.parametrize("criterion", ["detour", "ratio"])
+@pytest.mark.parametrize("layout", ["uniform", "grid", "duplicates", "asymmetric"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cheapest_insertion_matches_sequential_scan(layout, criterion, data):
+    d, tour, pending = data.draw(_insertion_case(layout))
+    expected = reference_cheapest_insertion(tour, pending, d.tolist(), criterion)
+    got = cheapest_insertion(tour, pending, d, criterion)
+    assert got == expected
+    assert validate_tour(got, len(d)).ok
+
+
+def test_cheapest_insertion_unknown_criterion():
+    with pytest.raises(ValueError, match="angle"):
+        cheapest_insertion([0, 1], [2], [[0.0] * 3] * 3, criterion="angle")
