@@ -413,15 +413,7 @@ def json_report(plan: ExperimentPlan, records: list[RunRecord],
     """Versioned report: plan echo, per-group stats, gap table."""
     return {
         "schema": 1,
-        "plan": {
-            "instances": [asdict(s) for s in plan.instances],
-            "algorithms": [asdict(a) for a in plan.algorithms],
-            "repetitions": plan.repetitions,
-            "base_seed": plan.base_seed,
-            "time_scale": plan.time_scale,
-            "metric": plan.metric,
-            "rounding": plan.rounding,
-        },
+        "plan": asdict(plan),
         "summary": [asdict(s) for s in summarize(records, metric=plan.metric)],
         "gaps": gap_table(records, baseline_variant=baseline_variant),
     }

@@ -7,7 +7,6 @@ Anything else is rejected with UnsupportedFormat rather than misread.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +50,6 @@ class Instance:
             raise CountMismatch(
                 f"{len(self.coords)} coordinates for dimension {self.dimension}"
             )
-
-
-def _nint(x: float) -> float:
-    # TSPLIB nint(): round half up.
-    return math.floor(x + 0.5)
 
 
 def parse_instance(text: str) -> Instance:
@@ -211,26 +205,6 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     if not np.isfinite(d).all():
         raise NonFiniteInput(f"instance {inst.name} has distances that overflow")
     return d
-
-
-def geo_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """TSPLIB GEO distance between two (latitude, longitude) coordinate pairs."""
-    lat1, lon1 = _geo_radians(a)
-    lat2, lon2 = _geo_radians(b)
-    q1 = math.cos(lon1 - lon2)
-    q2 = math.cos(lat1 - lat2)
-    q3 = math.cos(lat1 + lat2)
-    arg = max(-1.0, min(1.0, 0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)))
-    return float(int(_EARTH_RADIUS * math.acos(arg) + 1.0))
-
-
-def _geo_radians(coord: tuple[float, float]) -> tuple[float, float]:
-    out = []
-    for x in coord:
-        deg = _nint(x)
-        minutes = x - deg
-        out.append(_GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0)
-    return out[0], out[1]
 
 
 def generate_random_instance(

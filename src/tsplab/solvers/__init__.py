@@ -12,7 +12,7 @@ from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
 from .aco import AcoParams, solve_aco
 from .alns import AlnsParams, solve_alns, update_weights
 from .base import PRESET_COLUMNS, ParamConfig, ParamDef, ParamSpace, SolveBudget, SolveResult, SolverSpec
-from .branch_bound import OptResult, bound_cache, branch_and_bound, root_lower_bound
+from .branch_bound import bound_cache, branch_and_bound, root_lower_bound
 from .constructive import christofides, convex_hull, convex_hull_tour, greedy_matching, minimum_spanning_tree
 from .ga import GaParams, nn_seed_count, solve_ga
 from .rl import (
@@ -28,7 +28,7 @@ from .tabu import TabuParams, solve_tabu
 
 __all__ = [
     "AcoParams", "AlnsParams", "GaParams", "RlParams", "SaParams", "TabuParams",
-    "SolveBudget", "SolveResult", "OptResult", "SolverSpec",
+    "SolveBudget", "SolveResult", "SolverSpec",
     "PRESET_COLUMNS", "ParamConfig", "ParamDef", "ParamSpace", "SPACES",
     "ALGORITHMS", "get_algorithm", "parameter_space", "preset", "resolve_config",
     "run_solver",

@@ -45,7 +45,6 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
     tau = np.ones((n, n))
     q_deposit = float(dist.mean())
 
-    first_tour_done = False
     while True:
         iteration_tours = []
         for _ in range(p.ants):
@@ -54,8 +53,7 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
             tracker.evaluations += 1
             tracker.offer(tour, cost)
             iteration_tours.append((tour, cost))
-            first_tour_done = True
-            if first_tour_done and tracker.out_of_budget():
+            if tracker.out_of_budget():
                 break
         tau *= 1.0 - p.evaporation_rate
         for tour, cost in iteration_tours:

@@ -15,7 +15,7 @@ same optimal cost; nodes_expanded counts bound evaluations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,15 +25,6 @@ from .base import SolveResult, SolverSpec
 BB_VARIANTS = ("baseline", "enhanced_r1")
 
 _CAP_CHECK_MASK = 0x3FF  # consult the wall clock every 1024 bound evaluations
-
-
-@dataclass(frozen=True)
-class OptResult:
-    best: list[int]
-    best_cost: float
-    nodes_expanded: int
-    elapsed: float
-    proven_optimal: bool
 
 
 def bound_cache(d) -> tuple[list[float], list[float]]:
@@ -58,7 +49,7 @@ def branch_and_bound(
     variant: str = "baseline",
     node_cap: int | None = None,
     time_cap: float | None = None,
-) -> OptResult:
+) -> SolveResult:
     if variant not in BB_VARIANTS:
         raise ValueError(f"unknown branch and bound variant: {variant!r}")
     started = time.perf_counter()
@@ -139,20 +130,15 @@ def branch_and_bound(
         # Cap fired before any complete tour: fall back to the NN incumbent.
         best = nearest_neighbor_tour(dist, start=0)
         incumbent = tour_length(best, dist)
-    return OptResult(
-        best=best,
-        best_cost=float(incumbent),
-        nodes_expanded=nodes,
-        elapsed=time.perf_counter() - started,
-        proven_optimal=not capped,
-    )
+    # The search draws no random numbers; SPEC.run stamps the caller's seed.
+    return SolveResult(best, float(incumbent), trajectory=None, evaluations=None, seed=0,
+                       elapsed=time.perf_counter() - started, nodes_expanded=nodes,
+                       proven_optimal=not capped)
 
 
 def _run(inst, d, params, variant, budget, seed) -> SolveResult:
-    opt = branch_and_bound(d, variant, time_cap=None if budget is None else budget.time_limit)
-    return SolveResult(opt.best, opt.best_cost, trajectory=None, evaluations=None, seed=seed,
-                       elapsed=opt.elapsed, nodes_expanded=opt.nodes_expanded,
-                       proven_optimal=opt.proven_optimal)
+    result = branch_and_bound(d, variant, time_cap=None if budget is None else budget.time_limit)
+    return replace(result, seed=seed)
 
 
 SPEC = SolverSpec("branch_and_bound", "exact", BB_VARIANTS, run=_run)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tours import nearest_neighbor_tour, tour_length
+from ..tours import nearest_neighbor_tour, reversal_delta, tour_length
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SA_VARIANTS = ("baseline", "lundy_mees_r1")
@@ -92,9 +92,7 @@ def solve_sa(
         j = rng.randrange(i + 1, n)
         if i == 0 and j == n - 1:
             continue
-        a, bcity = current[i - 1], current[i]
-        c, e = current[j], current[(j + 1) % n]
-        delta = dist[a][c] + dist[bcity][e] - dist[a][bcity] - dist[c][e]
+        delta = reversal_delta(current, dist, i, j)
         tracker.evaluations += 1
         if metropolis_accept(delta, temperature, rng):
             current[i : j + 1] = current[i : j + 1][::-1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tours import nearest_neighbor_tour, tour_length
+from ..tours import nearest_neighbor_tour, reversal_delta, tour_length
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _EPS = 1e-12
@@ -55,34 +55,27 @@ def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
     iteration = 0
     while not tracker.out_of_budget() and n >= 4:
         iteration += 1
-        best_move = None  # (cost, i, j, key)
+        best_move = None  # (cost, i, j)
         best_any = None  # fallback when everything is tabu
         for i in range(n - 1):
-            a = current[i - 1]
-            bcity = current[i]
-            d_ab = dist[a][bcity]
             for j in range(i + 1, n):
                 if i == 0 and j == n - 1:
                     continue
-                c = current[j]
-                e = current[(j + 1) % n]
-                delta = dist[a][c] + dist[bcity][e] - d_ab - dist[c][e]
-                cand_cost = current_cost + delta
+                cand_cost = current_cost + reversal_delta(current, dist, i, j)
                 if best_any is None or cand_cost < best_any[0] - _EPS:
                     best_any = (cand_cost, i, j)
-                key = move_key(current, i, j)
-                if tabu.get(key, 0) >= iteration and cand_cost >= tracker.best_cost - _EPS:
+                if best_move is not None and cand_cost >= best_move[0] - _EPS:
+                    continue
+                # Tabu status only guards replacing best_move, so the key is
+                # built for those candidates alone.
+                if (tabu.get(move_key(current, i, j), 0) >= iteration
+                        and cand_cost >= tracker.best_cost - _EPS):
                     continue  # tabu and no aspiration
-                if best_move is None or cand_cost < best_move[0] - _EPS:
-                    best_move = (cand_cost, i, j, key)
-        if best_move is None:
-            cand_cost, i, j = best_any
-            key = move_key(current, i, j)
-            best_move = (cand_cost, i, j, key)
-        cand_cost, i, j, key = best_move
+                best_move = (cand_cost, i, j)
+        cand_cost, i, j = best_any if best_move is None else best_move
+        tabu[move_key(current, i, j)] = iteration + p.tenure
         current[i : j + 1] = current[i : j + 1][::-1]
         current_cost = cand_cost
-        tabu[key] = iteration + p.tenure
         tracker.evaluations += 1
         if current_cost < tracker.best_cost:
             # Re-cost exactly before recording: incremental deltas drift.

@@ -131,6 +131,10 @@ def two_opt(
     mode="stochastic": samples `tries` random reversal pairs (default n),
     applying each improving one; requires rng.
     """
+    if mode not in ("full", "stochastic"):
+        raise ValueError(f"unknown two_opt mode: {mode!r}")
+    if mode == "stochastic" and rng is None:
+        raise ValueError("stochastic mode needs an rng")
     n = len(order)
     tour = list(order)
     if n < 4:
@@ -148,17 +152,11 @@ def two_opt(
                         tour[i : j + 1] = tour[i : j + 1][::-1]
                         improved = True
         return tour
-    if mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic mode needs an rng")
-        if tries is None:
-            tries = n
-        for _ in range(tries):
-            i = rng.randrange(n - 1)
-            j = rng.randrange(i + 1, n)
-            if i == 0 and j == n - 1:
-                continue
-            if reversal_delta(tour, dl, i, j) < -_EPS:
-                tour[i : j + 1] = tour[i : j + 1][::-1]
-        return tour
-    raise ValueError(f"unknown two_opt mode: {mode!r}")
+    for _ in range(n if tries is None else tries):
+        i = rng.randrange(n - 1)
+        j = rng.randrange(i + 1, n)
+        if i == 0 and j == n - 1:
+            continue
+        if reversal_delta(tour, dl, i, j) < -_EPS:
+            tour[i : j + 1] = tour[i : j + 1][::-1]
+    return tour

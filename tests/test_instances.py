@@ -16,7 +16,6 @@ from tsplab import (
     UnsupportedFormat,
     build_distance_matrix,
     generate_random_instance,
-    geo_distance,
     parse_instance,
     render_instance,
 )
@@ -181,7 +180,9 @@ GEO_CASES = [
 
 @pytest.mark.parametrize("a,b,want", GEO_CASES)
 def test_geo_distance_frozen_values(a, b, want):
-    assert geo_distance(a, b) == want
+    inst = Instance(name="geo2", dimension=2, kind="GEO", coords=[a, b])
+    d = build_distance_matrix(inst)
+    assert (d[0][1], d[1][0]) == (want, want)
     assert reference_geo_distance(a, b) == want
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,9 +8,11 @@ from tsplab import (
     AcoParams,
     AlnsParams,
     GaParams,
+    Instance,
     SaParams,
     SolveBudget,
     TabuParams,
+    build_distance_matrix,
     lundy_mees_beta,
     lundy_mees_step,
     metropolis_accept,
@@ -106,6 +109,63 @@ def test_meta_solver_evaluation_budget_respected():
         result = call(5)
         assert result.evaluations <= 30, name
         assert validate_tour(result.best, 10).ok, name
+
+
+# --- Seeded SA and tabu pins -----------------------------------------------
+
+def _grid5():
+    """The 25 integer points of [0, 4]^2: many exactly equal distances and deltas."""
+    coords = [(float(x), float(y)) for x in range(5) for y in range(5)]
+    return build_distance_matrix(Instance(name="grid5", dimension=25, kind="EUC_2D", coords=coords))
+
+
+_PIN_INSTANCES = {
+    "rnd200_1": lambda: random_matrix(200, 1),
+    "rnd200_2": lambda: random_matrix(200, 2),
+    "grid5": _grid5,
+}
+_PIN_CALLS = {
+    "sa": lambda d, cap: solve_sa(d, SA_P, SolveBudget(max_evaluations=cap), 7),
+    "sa-lm": lambda d, cap: solve_sa(d, SA_P, SolveBudget(max_evaluations=cap), 7,
+                                     variant="lundy_mees_r1"),
+    "tabu": lambda d, cap: solve_tabu(d, TABU_P, SolveBudget(max_evaluations=cap), 7),
+}
+
+
+def _tour_digest(tour):
+    return hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16]
+
+
+# Recorded from the inline 2-opt delta loops that solve_sa and solve_tabu ran
+# before both called tours.reversal_delta; the same float operations in the
+# same order must reproduce them bit for bit.
+@pytest.mark.parametrize("solver,instance,cap,best_cost,digest", [
+    ("sa", "rnd200_1", 20000, 1846.1510783733788, "502d00549144a7cc"),
+    ("sa-lm", "rnd200_1", 20000, 1174.4950524883247, "f003b1365d7c2057"),
+    ("tabu", "rnd200_1", 8, 1197.7070819902833, "8d3ffbc5ea584f4f"),
+    ("sa", "rnd200_2", 20000, 1803.6285336236845, "42fadc6174803f6b"),
+    ("sa-lm", "rnd200_2", 20000, 1193.390619119692, "d687e284bd88fae7"),
+    ("tabu", "rnd200_2", 8, 1242.1785849265766, "12a1bec3a76f7339"),
+    ("sa", "grid5", 5000, 26.650281539872886, "6bd4a81d9b31c6ef"),
+    ("sa-lm", "grid5", 5000, 25.414213562373096, "a1d2b57c33bd1097"),
+    ("tabu", "grid5", 60, 25.414213562373096, "94a2553a43196af2"),
+])
+def test_sa_tabu_capped_runs_pinned(solver, instance, cap, best_cost, digest):
+    result = _PIN_CALLS[solver](_PIN_INSTANCES[instance](), cap)
+    assert (result.best_cost, result.evaluations) == (best_cost, cap)
+    assert _tour_digest(result.best) == digest
+
+
+def test_tabu_all_moves_tabu_pinned():
+    # Nothing expires at this tenure: 109 of the 400 iterations find every
+    # move tabu and take the fallback, and one admits a tabu move by
+    # aspiration. Without aspiration the run returns another rotation of
+    # this tour. No change to the fallback's choice shows here: it comes into
+    # play only after the last improvement.
+    result = solve_tabu(random_matrix(8, 116), TabuParams(tenure=10_000),
+                        SolveBudget(max_evaluations=400), 1)
+    assert (result.best_cost, result.evaluations) == (287.394178756223, 400)
+    assert result.best == [1, 6, 2, 3, 4, 5, 7, 0]
 
 
 # --- GA specifics -----------------------------------------------------------

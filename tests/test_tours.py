@@ -109,6 +109,15 @@ def test_two_opt_fixed_point(unit_square):
     assert two_opt(tour, d, mode="full") == tour
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_two_opt_rejects_bad_mode_and_missing_rng_at_any_size(n):
+    d = random_matrix(n, 1)
+    with pytest.raises(ValueError, match="unknown two_opt mode"):
+        two_opt(list(range(n)), d, mode="bogus")
+    with pytest.raises(ValueError, match="needs an rng"):
+        two_opt(list(range(n)), d, mode="stochastic")
+
+
 def test_two_opt_full_reaches_local_optimum():
     d = random_matrix(8, 3)
     start = list(range(8))
