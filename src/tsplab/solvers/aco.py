@@ -40,15 +40,18 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
 
-    eta = 1.0 / np.maximum(dist, _TINY)  # heuristic desirability
-    np.fill_diagonal(eta, 0.0)
     tau = np.ones((n, n))
+    weight = np.empty((n, n))
     q_deposit = float(dist.mean())
 
     while True:
+        # tau changes only at the deposit. Row by row, so no third n x n array is held.
+        np.power(np.reciprocal(np.maximum(dist, _TINY, out=weight), out=weight), p.beta, out=weight)
+        for row, tau_row in zip(weight, tau):
+            row *= tau_row ** p.alpha  # weight = (1/d)^beta * tau^alpha
         iteration_tours = []
         for _ in range(p.ants):
-            tour = _construct(dist, tau, eta, p.alpha, p.beta, n, rng)
+            tour = _construct(weight, n, rng)
             cost = tour_length(tour, dist)
             tracker.evaluations += 1
             tracker.offer(tour, cost)
@@ -80,23 +83,20 @@ SPEC = SolverSpec(
 )
 
 
-def _construct(dist, tau, eta, alpha, beta, n, rng) -> list[int]:
+def _construct(weight, n, rng) -> list[int]:
     start = rng.randrange(n)
-    unvisited = list(range(n))
-    unvisited.remove(start)
+    unvisited = [c for c in range(n) if c != start]
+    free = np.ones(n, dtype=bool)
+    free[start] = False
     tour = [start]
-    current = start
     while unvisited:
-        idx = np.array(unvisited)
-        weights = tau[current, idx] ** alpha * eta[current, idx] ** beta
+        weights = weight[tour[-1]].compress(free)  # ascending city order, like unvisited
         total = float(weights.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            nxt = unvisited[0]  # lowest index fallback on degenerate weights
+        if not 0.0 < total < np.inf:
+            k = 0  # lowest index fallback on degenerate weights
         else:
-            r = rng.random() * total
-            cum = np.cumsum(weights)
-            nxt = unvisited[int(np.searchsorted(cum, r, side="right").clip(0, len(unvisited) - 1))]
+            k = int(weights.cumsum().searchsorted(rng.random() * total, side="right"))
+        nxt = unvisited.pop(min(k, len(unvisited) - 1))
+        free[nxt] = False
         tour.append(nxt)
-        unvisited.remove(nxt)
-        current = nxt
     return tour

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,13 +73,14 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
         ranked = sorted(range(p.population_size), key=lambda i: (costs[i], i))
         new_pop = [list(pop[i]) for i in ranked[:elite]]
         new_costs = [costs[i] for i in ranked[:elite]]
+        # Baseline parent weights: costs change only at the end of a generation.
+        cum_weights = None if hybrid else list(accumulate(1.0 / (c + _TINY) for c in costs))
         while len(new_pop) < p.population_size:
             if hybrid:
                 i1, i2 = _tournament(costs, rng), _tournament(costs, rng)
                 op = roulette(op_weights, rng)
             else:
-                weights = [1.0 / (c + _TINY) for c in costs]
-                i1, i2 = rng.choices(range(p.population_size), weights=weights, k=2)
+                i1, i2 = rng.choices(range(p.population_size), cum_weights=cum_weights, k=2)
                 op = 0
             parent1, parent2 = pop[i1], pop[i2]
             if op == 0:

@@ -10,9 +10,10 @@ tracker as well so it lands in the trajectory whenever it improves.
 
 from __future__ import annotations
 
-import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
         unvisited = [c for c in range(n) if c != start]
         tour = [start]
         s = start
-        a = _select(q, s, unvisited, p.epsilon, temperature, rng) if unvisited else None
+        a = _select(q[s], unvisited, p.epsilon, temperature, rng)[0] if unvisited else None
         while unvisited:
             unvisited.remove(a)
             tour.append(a)
@@ -134,11 +135,11 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
                 # Terminal: fold in the closing edge, bootstrap nothing.
                 q[s][a] = q_update(q[s][a], lr, r - dn[a][start], 0.0, 0.0)
                 break
-            a_next = _select(q, a, unvisited, p.epsilon, temperature, rng)
-            if on_policy:
-                bootstrap = q[a][a_next]
+            a_next, greedy = _select(q[a], unvisited, p.epsilon, temperature, rng)
+            if on_policy or greedy:
+                bootstrap = q[a][a_next]  # a greedy pick holds the row's maximum
             else:
-                bootstrap = max(q[a][c] for c in unvisited)
+                bootstrap = max(map(q[a].__getitem__, unvisited))
             q[s][a] = q_update(q[s][a], lr, r, df, bootstrap)
             s, a = a, a_next
         cost = tour_length(tour, dist)
@@ -154,29 +155,26 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
     return tracker.result()
 
 
-def _select(q, s, unvisited, epsilon, temperature, rng) -> int:
+def _select(row, unvisited, epsilon, temperature, rng) -> tuple[int, bool]:
+    """Next city from Q row `row`, and whether the pick was greedy."""
     if temperature is not None:
-        prefs = [q[s][c] for c in unvisited]
-        probs = boltzmann_probabilities(prefs, temperature)
-        r = rng.random()
-        acc = 0.0
-        for city, prob in zip(unvisited, probs):
-            acc += prob
-            if r < acc:
-                return city
-        return unvisited[-1]
+        probs = boltzmann_probabilities(list(map(row.__getitem__, unvisited)), temperature)
+        k = bisect_right(list(accumulate(probs.tolist())), rng.random())
+        return unvisited[min(k, len(unvisited) - 1)], False
     if rng.random() < epsilon:
-        return unvisited[rng.randrange(len(unvisited))]
-    return max(unvisited, key=lambda c: (q[s][c], -c))  # greedy, lowest index on ties
+        return unvisited[rng.randrange(len(unvisited))], False
+    return _greedy(row, unvisited), True
+
+
+def _greedy(row, unvisited) -> int:
+    # unvisited ascends, so the first maximum is the lowest index on ties.
+    vals = list(map(row.__getitem__, unvisited))
+    return unvisited[vals.index(max(vals))]
 
 
 def _greedy_rollout(q, n) -> list[int]:
-    unvisited = list(range(1, n))
-    tour = [0]
-    s = 0
+    tour, unvisited = [0], list(range(1, n))
     while unvisited:
-        nxt = max(unvisited, key=lambda c: (q[s][c], -c))
-        unvisited.remove(nxt)
-        tour.append(nxt)
-        s = nxt
+        tour.append(_greedy(q[tour[-1]], unvisited))
+        unvisited.remove(tour[-1])
     return tour

@@ -152,6 +152,54 @@ def reference_cheapest_insertion(tour, pending, d, criterion="detour"):
     return tour
 
 
+def reference_greedy_pick(row, unvisited):
+    """RL's greedy pick before it read the Q row through map/max/index: the
+    highest value, the lowest city index on ties."""
+    return max(unvisited, key=lambda c: (row[c], -c))
+
+
+def reference_boltzmann_pick(probs, unvisited, r):
+    """RL's Boltzmann pick before it bisected the accumulated probabilities:
+    walk the running sum and take the first city whose sum exceeds r."""
+    acc = 0.0
+    for city, prob in zip(unvisited, probs):
+        acc += prob
+        if r < acc:
+            return city
+    return unvisited[-1]
+
+
+def reference_aco_tour(dist, tau, alpha, beta, rng, tiny=1e-12):
+    """One Ant System tour as ACO built it before it read a per-iteration
+    weight buffer: at every step, the weights of the unvisited cities are
+    tau^alpha * (1/d)^beta, with a lowest-index fallback when their total is
+    not finite and positive."""
+    dist = np.asarray(dist, dtype=float)
+    n = len(dist)
+    eta = 1.0 / np.maximum(dist, tiny)
+    np.fill_diagonal(eta, 0.0)
+    start = rng.randrange(n)
+    unvisited = list(range(n))
+    unvisited.remove(start)
+    tour = [start]
+    current = start
+    while unvisited:
+        idx = np.array(unvisited)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = tau[current, idx] ** alpha * eta[current, idx] ** beta
+        total = float(weights.sum())
+        if not np.isfinite(total) or total <= 0.0:
+            nxt = unvisited[0]
+        else:
+            r = rng.random() * total
+            cum = np.cumsum(weights)
+            nxt = unvisited[int(np.searchsorted(cum, r, side="right").clip(0, len(unvisited) - 1))]
+        tour.append(nxt)
+        unvisited.remove(nxt)
+        current = nxt
+    return tour
+
+
 def reference_geo_distance(a, b):
     """Direct transcription of the TSPLIB geographical distance rules."""
     PI = 3.141592

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,30 @@ def unit_square():
 def random_matrix(n, seed, lo=0.0, hi=100.0):
     inst = generate_random_instance(n, seed, (lo, hi))
     return build_distance_matrix(inst)
+
+
+def grid_matrix(k, copies=1):
+    """The integer points of [0, k-1]^2, each `copies` times: many exactly
+    equal distances and deltas, and zero distances when copies > 1."""
+    coords = [(float(x), float(y)) for x in range(k) for y in range(k)] * copies
+    return build_distance_matrix(Instance(name=f"grid{k}x{copies}", dimension=len(coords),
+                                          kind="EUC_2D", coords=coords))
+
+
+# Inputs of the seeded-output pins, by the name the pin tables use.
+PIN_MATRICES = {
+    "rnd200_1": lambda: random_matrix(200, 1),
+    "rnd200_2": lambda: random_matrix(200, 2),
+    "grid5": lambda: grid_matrix(5),
+    "rnd2": lambda: random_matrix(2, 3),
+    "rnd3": lambda: random_matrix(3, 3),
+    "grid3x2": lambda: grid_matrix(3, copies=2),
+}
+
+
+def tour_digest(tour):
+    """A 16-hex sha256 prefix of the tour, for pinning seeded outputs."""
+    return hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16]
 
 
 @pytest.fixture

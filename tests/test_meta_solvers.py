@@ -1,18 +1,18 @@
-import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsplab import (
     AcoParams,
     AlnsParams,
     GaParams,
-    Instance,
     SaParams,
     SolveBudget,
     TabuParams,
-    build_distance_matrix,
     lundy_mees_beta,
     lundy_mees_step,
     metropolis_accept,
@@ -26,11 +26,12 @@ from tsplab import (
     tour_length,
     validate_tour,
 )
+from tsplab.solvers.aco import _construct
 from tsplab.solvers.alns import update_weights
 from tsplab.solvers.ga import _initial_population
 
-from ._oracles import brute_force_optimum
-from .conftest import random_matrix
+from ._oracles import brute_force_optimum, reference_aco_tour
+from .conftest import PIN_MATRICES, random_matrix, tour_digest
 
 GENEROUS = SolveBudget(time_limit=10.0, max_evaluations=6000)
 TINY = SolveBudget(max_evaluations=30)
@@ -111,29 +112,14 @@ def test_meta_solver_evaluation_budget_respected():
         assert validate_tour(result.best, 10).ok, name
 
 
-# --- Seeded SA and tabu pins -----------------------------------------------
+# --- Seeded SA, tabu, ACO and GA pins --------------------------------------
 
-def _grid5():
-    """The 25 integer points of [0, 4]^2: many exactly equal distances and deltas."""
-    coords = [(float(x), float(y)) for x in range(5) for y in range(5)]
-    return build_distance_matrix(Instance(name="grid5", dimension=25, kind="EUC_2D", coords=coords))
-
-
-_PIN_INSTANCES = {
-    "rnd200_1": lambda: random_matrix(200, 1),
-    "rnd200_2": lambda: random_matrix(200, 2),
-    "grid5": _grid5,
-}
 _PIN_CALLS = {
     "sa": lambda d, cap: solve_sa(d, SA_P, SolveBudget(max_evaluations=cap), 7),
     "sa-lm": lambda d, cap: solve_sa(d, SA_P, SolveBudget(max_evaluations=cap), 7,
                                      variant="lundy_mees_r1"),
     "tabu": lambda d, cap: solve_tabu(d, TABU_P, SolveBudget(max_evaluations=cap), 7),
 }
-
-
-def _tour_digest(tour):
-    return hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16]
 
 
 # Recorded from the inline 2-opt delta loops that solve_sa and solve_tabu ran
@@ -151,9 +137,75 @@ def _tour_digest(tour):
     ("tabu", "grid5", 60, 25.414213562373096, "94a2553a43196af2"),
 ])
 def test_sa_tabu_capped_runs_pinned(solver, instance, cap, best_cost, digest):
-    result = _PIN_CALLS[solver](_PIN_INSTANCES[instance](), cap)
+    result = _PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
     assert (result.best_cost, result.evaluations) == (best_cost, cap)
-    assert _tour_digest(result.best) == digest
+    assert tour_digest(result.best) == digest
+
+
+# Recorded at the commit before ACO read its pick weights from one n x n
+# buffer filled once per iteration and GA baseline drew parents from
+# cumulative weights built once per generation.
+_ACO_GA_PIN_CALLS = {
+    "aco": lambda d, cap: solve_aco(d, ACO_P, SolveBudget(max_evaluations=cap), 7),
+    # (1/1e-12)^400 overflows: every step from a city with an unvisited twin
+    # has infinite weights and takes the lowest-index fallback.
+    "aco-beta400": lambda d, cap: solve_aco(d, AcoParams(ants=7, alpha=1.34, beta=400.0,
+                                                         evaporation_rate=0.24),
+                                            SolveBudget(max_evaluations=cap), 7),
+    "ga": lambda d, cap: solve_ga(d, GA_P, SolveBudget(max_evaluations=cap), 7),
+}
+
+
+@pytest.mark.parametrize("solver,instance,cap,best_cost,digest", [
+    ("aco", "rnd200_1", 21, 4003.7528740207736, "64e69c9eb1f69fab"),
+    ("ga", "rnd200_1", 1500, 8074.002105923202, "0c723f4e20f3c422"),
+    ("aco", "rnd200_2", 21, 4039.4935061362985, "ce46485197059e2c"),
+    ("ga", "rnd200_2", 1500, 8044.615459806922, "3b2925e515a64739"),
+    ("aco", "grid5", 60, 34.128990204491956, "dd5e952b6e2ffa65"),
+    ("ga", "grid5", 600, 45.598403654025596, "df7418e42433946e"),
+    ("aco", "rnd2", 60, 158.9197591407065, "b0e4f9bb7b55e4b1"),
+    ("ga", "rnd2", 600, 158.9197591407065, "83b97b859aa5f81b"),
+    ("aco", "rnd3", 60, 171.37784728024377, "6e0cd09f6e0ea17c"),
+    ("ga", "rnd3", 600, 171.37784728024377, "6e0cd09f6e0ea17c"),
+    ("aco", "grid3x2", 21, 10.82842712474619, "9b70d4bfd83afcd6"),
+    ("aco-beta400", "grid3x2", 21, 19.478708664619077, "355965af52400f6d"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_aco_ga_capped_runs_pinned(solver, instance, cap, best_cost, digest):
+    result = _ACO_GA_PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
+    assert (result.best_cost, result.evaluations) == (best_cost, cap)
+    assert tour_digest(result.best) == digest
+
+
+@st.composite
+def _aco_pick_case(draw):
+    n = draw(st.integers(1, 9))
+    layout = draw(st.sampled_from(["uniform", "grid", "twins"]))
+    if layout == "uniform":
+        pts = draw(st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+                            min_size=n, max_size=n))
+    elif layout == "grid":  # exact ties between weights
+        pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n))
+    else:  # coincident points: eta = 1e12, so a large beta overflows to inf
+        pool = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3))
+        pts = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    d = np.array([[math.dist(p, q) for q in pts] for p in pts])
+    tau = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    alpha = draw(st.sampled_from([0.5, 1.0, 1.34, 2.0]) | st.floats(0.5, 3.0))
+    beta = draw(st.sampled_from([0.5, 1.59, 2.0, 30.0, 400.0]) | st.floats(0.5, 3.0))
+    return d, tau, alpha, beta, draw(st.integers(0, 10_000))
+
+
+@given(_aco_pick_case())
+@settings(max_examples=150, deadline=None)
+def test_aco_construct_matches_per_step_reference(case):
+    # The weight buffer solve_aco fills once per iteration, then one tour from
+    # it against the per-step tau^alpha * eta^beta rebuild.
+    d, tau, alpha, beta, seed = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.power(tau, alpha) * np.power(1.0 / np.maximum(d, 1e-12), beta)
+    tour = _construct(weight, len(d), random.Random(seed))
+    assert tour == reference_aco_tour(d, tau, alpha, beta, random.Random(seed))
 
 
 def test_tabu_all_moves_tabu_pinned():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from tsplab import (
     tour_length,
     validate_tour,
 )
-from tsplab.solvers.rl import boltzmann_temperature
+from tsplab.solvers.rl import _greedy_rollout, _select, boltzmann_temperature
 
-from ._oracles import brute_force_optimum
-from .conftest import random_matrix
+from ._oracles import brute_force_optimum, reference_boltzmann_pick, reference_greedy_pick
+from .conftest import PIN_MATRICES, random_matrix, tour_digest
 
 PARAMS = RlParams(learning_rate=0.44, discount=0.97, epsilon=0.09, episodes=4266)
 GENEROUS = SolveBudget(time_limit=10.0)
@@ -148,3 +149,103 @@ def test_rewards_are_normalized_to_unit_interval():
     assert float(dn.min()) >= 0.0
     assert float(dn.max()) == 1.0
     assert np.all(-dn >= -1.0) and np.all(-dn <= 0.0)
+
+
+class _FixedDraw:
+    """An rng whose random() returns one chosen value."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+# Few distinct values, so that rows tie exactly, with both signs of zero.
+_Q_VALUE = st.sampled_from([0.0, -0.0, -0.5, -1.0, -1e-300]) | st.floats(-2.0, 0.0)
+
+
+@st.composite
+def _rl_pick_case(draw):
+    n = draw(st.integers(2, 12))
+    row = draw(st.lists(_Q_VALUE, min_size=n, max_size=n))
+    size = draw(st.sampled_from([1, n]) | st.integers(1, n))  # one-city sets included
+    unvisited = sorted(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size,
+                                     unique=True)))
+    return row, unvisited
+
+
+def _sign(x):
+    return math.copysign(1.0, x)
+
+
+@given(_rl_pick_case())
+@settings(max_examples=300, deadline=None)
+def test_greedy_pick_matches_reference(case):
+    row, unvisited = case
+    city, greedy = _select(row, unvisited, 0.0, None, random.Random(0))
+    assert greedy and city == reference_greedy_pick(row, unvisited)
+    # Q-learning bootstraps from row[city] after a greedy pick: it must be the
+    # element max() over the unvisited values returns, sign of zero included.
+    best = max(row[c] for c in unvisited)
+    assert row[city] == best and _sign(row[city]) == _sign(best)
+
+
+@given(_rl_pick_case(), st.floats(0.1, 1.0), st.data())
+@settings(max_examples=300, deadline=None)
+def test_boltzmann_pick_matches_reference(case, temperature, data):
+    row, unvisited = case
+    probs = boltzmann_probabilities([row[c] for c in unvisited], temperature)
+    # r anywhere in [0, 1), or exactly on a running sum, where `<` matters
+    sums = np.cumsum(probs).tolist()
+    r = data.draw(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(sums).filter(lambda x: x < 1.0))
+    city, greedy = _select(row, unvisited, 0.5, temperature, _FixedDraw(r))
+    assert not greedy and city == reference_boltzmann_pick(probs, unvisited, r)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(_Q_VALUE, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)))
+@settings(max_examples=100, deadline=None)
+def test_greedy_rollout_matches_reference(q):
+    tour, unvisited = [0], list(range(1, len(q)))
+    while unvisited:
+        tour.append(reference_greedy_pick(q[tour[-1]], unvisited))
+        unvisited.remove(tour[-1])
+    assert _greedy_rollout(q, len(q)) == tour
+
+
+# Recorded at the commit before the greedy, bootstrap and Boltzmann picks read
+# a Q row through map/max/index and bisect over the accumulated probabilities.
+# n=200 runs stop on their cap; the others finish their 40 episodes and add
+# the greedy rollout. grid5 has exact Q-value ties.
+_Q_PIN = RlParams(learning_rate=0.44, discount=0.97, epsilon=0.09, episodes=40)
+_SARSA_PIN = RlParams(learning_rate=0.04, discount=0.86, epsilon=0.23, episodes=40)
+_RL_PIN_CALLS = {
+    "qlearning": lambda d, cap: solve_qlearning(d, _Q_PIN, SolveBudget(max_evaluations=cap), 7),
+    "sarsa": lambda d, cap: solve_sarsa(d, _SARSA_PIN, SolveBudget(max_evaluations=cap), 7),
+    "sarsa-b": lambda d, cap: solve_sarsa(d, _SARSA_PIN, SolveBudget(max_evaluations=cap), 7,
+                                          variant="boltzmann_o1"),
+}
+
+
+@pytest.mark.parametrize("solver,instance,cap,best_cost,evaluations,digest", [
+    ("qlearning", "rnd200_1", 20, 9460.742680319949, 20, "94dad87e617eaaf0"),
+    ("sarsa", "rnd200_1", 30, 9648.882954655975, 30, "e0cb467cd9a9dae5"),
+    ("sarsa-b", "rnd200_1", 12, 9817.683961178132, 12, "745e0fb48626a2f0"),
+    ("qlearning", "rnd200_2", 20, 9736.219377191439, 20, "85c2dc245d74b2de"),
+    ("sarsa", "rnd200_2", 30, 9904.34888339931, 30, "7654e43dddfe917c"),
+    ("sarsa-b", "rnd200_2", 12, 9949.3401891714, 12, "a6fdb1f5c7767419"),
+    ("qlearning", "grid5", 1000, 42.59183094440611, 41, "a5b73e49cb01c626"),
+    ("sarsa", "grid5", 1000, 43.86775908720181, 41, "8a5bcc7490fdb02a"),
+    ("sarsa-b", "grid5", 1000, 52.09099257760745, 41, "44fb1c6666ea1986"),
+    ("qlearning", "rnd2", 1000, 158.9197591407065, 41, "b0e4f9bb7b55e4b1"),
+    ("sarsa", "rnd2", 1000, 158.9197591407065, 41, "b0e4f9bb7b55e4b1"),
+    ("sarsa-b", "rnd2", 1000, 158.9197591407065, 41, "b0e4f9bb7b55e4b1"),
+    ("qlearning", "rnd3", 1000, 171.37784728024377, 41, "81a757319532fa82"),
+    ("sarsa", "rnd3", 1000, 171.37784728024377, 41, "81a757319532fa82"),
+    ("sarsa-b", "rnd3", 1000, 171.37784728024377, 41, "6e0cd09f6e0ea17c"),
+])
+def test_rl_capped_runs_pinned(solver, instance, cap, best_cost, evaluations, digest):
+    result = _RL_PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
+    assert (result.best_cost, result.evaluations) == (best_cost, evaluations)
+    assert tour_digest(result.best) == digest
