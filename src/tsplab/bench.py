@@ -273,6 +273,8 @@ def _execute_spec(spec: RunSpec, inst: Instance, matrix) -> RunRecord:
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
     """Execute every run of the plan; failures become failed rows, not aborts."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     resolved = [spec.resolve() for spec in plan.instances]
     matrices = [build_distance_matrix(inst, plan.rounding) for inst in resolved]
     names = [inst.name for inst in resolved]

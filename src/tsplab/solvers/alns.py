@@ -52,7 +52,7 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
 
-    current = nearest_neighbor_tour(dist, start=0)
+    current = nearest_neighbor_tour(matrix, start=0)
     current_cost = tour_length(current, dist)
     tracker.evaluations += 1
     tracker.offer(current, current_cost)

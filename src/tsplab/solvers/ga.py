@@ -59,12 +59,13 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
     if variant not in GA_VARIANTS:
         raise ValueError(f"unknown GA variant: {variant!r}")
     n = len(d)
-    dist = d.tolist() if isinstance(d, np.ndarray) else [list(row) for row in d]
+    matrix = np.asarray(d, dtype=float)
+    dist = matrix.tolist()
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
     hybrid = variant == "hybrid_r1"
 
-    pop, costs = _initial_population(dist, n, p, rng, hybrid, tracker)
+    pop, costs = _initial_population(matrix, dist, n, p, rng, hybrid, tracker)
     op_weights = [1.0, 1.0, 1.0]  # OX, ER, BCR
 
     # A full-elite population would never produce offspring; keep one slot open.
@@ -124,13 +125,13 @@ SPEC = SolverSpec(
 )
 
 
-def _initial_population(dist, n, p, rng, hybrid, tracker):
+def _initial_population(matrix, dist, n, p, rng, hybrid, tracker):
     pop: list[list[int]] = []
     if hybrid:
         k = nn_seed_count(p.population_size)
         starts = rng.sample(range(n), min(k, n))
         starts += [rng.randrange(n) for _ in range(k - len(starts))]
-        pop.extend(nearest_neighbor_tour(dist, start=s) for s in starts)
+        pop.extend(nearest_neighbor_tour(matrix, start=s) for s in starts)
     while len(pop) < p.population_size:
         perm = list(range(n))
         rng.shuffle(perm)

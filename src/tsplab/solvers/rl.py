@@ -112,9 +112,10 @@ SARSA_SPEC = SolverSpec(
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
     n = len(d)
-    dist = d.tolist() if isinstance(d, np.ndarray) else [list(row) for row in d]
-    scale = max(max(max(row) for row in dist), _TINY)
-    dn = [[v / scale for v in row] for row in dist]
+    matrix = np.asarray(d, dtype=float)
+    dist = matrix.tolist()
+    scale = max(float(matrix.max()), _TINY)
+    dn = [(row / scale).tolist() for row in matrix]  # row by row: no n x n temporary
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
     q = [[0.0] * n for _ in range(n)]

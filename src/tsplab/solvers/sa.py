@@ -69,7 +69,8 @@ def solve_sa(
     if variant not in SA_VARIANTS:
         raise ValueError(f"unknown SA variant: {variant!r}")
     n = len(d)
-    dist = d.tolist() if isinstance(d, np.ndarray) else [list(row) for row in d]
+    matrix = np.asarray(d, dtype=float)
+    dist = matrix.tolist()
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
 
@@ -77,7 +78,7 @@ def solve_sa(
         current = list(range(n))
         rng.shuffle(current)
     else:
-        current = nearest_neighbor_tour(dist, start=0)
+        current = nearest_neighbor_tour(matrix, start=0)
     current_cost = tour_length(current, dist)
     tracker.evaluations += 1
     tracker.offer(current, current_cost)

@@ -43,10 +43,11 @@ def move_key(order, i: int, j: int) -> frozenset:
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
     n = len(d)
-    dist = d.tolist() if isinstance(d, np.ndarray) else [list(row) for row in d]
+    matrix = np.asarray(d, dtype=float)
+    dist = matrix.tolist()
     tracker = RunTracker(budget=b, seed=seed)
 
-    current = nearest_neighbor_tour(dist, start=0)
+    current = nearest_neighbor_tour(matrix, start=0)
     current_cost = tour_length(current, dist)
     tracker.evaluations += 1
     tracker.offer(current, current_cost)

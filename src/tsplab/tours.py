@@ -17,8 +17,6 @@ from .errors import DimensionMismatch
 
 _EPS = 1e-12
 
-Tour = list  # alias for readability in signatures
-
 
 @dataclass(frozen=True)
 class TourCheck:
@@ -139,7 +137,6 @@ def two_opt(
     tour = list(order)
     if n < 4:
         return tour
-    dl = d.tolist() if isinstance(d, np.ndarray) else d
     if mode == "full":
         improved = True
         while improved:
@@ -148,7 +145,7 @@ def two_opt(
                 for j in range(i + 1, n):
                     if i == 0 and j == n - 1:
                         continue  # reversing the whole tour is a no-op
-                    if reversal_delta(tour, dl, i, j) < -_EPS:
+                    if reversal_delta(tour, d, i, j) < -_EPS:
                         tour[i : j + 1] = tour[i : j + 1][::-1]
                         improved = True
         return tour
@@ -157,6 +154,6 @@ def two_opt(
         j = rng.randrange(i + 1, n)
         if i == 0 and j == n - 1:
             continue
-        if reversal_delta(tour, dl, i, j) < -_EPS:
+        if reversal_delta(tour, d, i, j) < -_EPS:
             tour[i : j + 1] = tour[i : j + 1][::-1]
     return tour

@@ -45,6 +45,7 @@ PIN_MATRICES = {
     "rnd2": lambda: random_matrix(2, 3),
     "rnd3": lambda: random_matrix(3, 3),
     "grid3x2": lambda: grid_matrix(3, copies=2),
+    "rnd12": lambda: random_matrix(12, 3),
 }
 
 

@@ -305,6 +305,11 @@ class TestRunExperiment:
 
         assert [strip(r) for r in parallel] == [strip(r) for r in records]
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, tiny_plan, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(tiny_plan, workers=workers)
+
     def test_csv_round_trip(self, records, tmp_path):
         path = tmp_path / "runs.csv"
         text = write_csv(records, str(path))

@@ -228,6 +228,15 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", "--plan", "missing-plan.txt")
         assert code == 2
 
+    def test_zero_workers_is_data_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("repetitions = 1\ntime_scale = 0.05\n"
+                        "[instances]\nrandom n=5 seed=0\n[algorithms]\nchristofides\n",
+                        encoding="utf-8")
+        code, _, err = run_cli(capsys, "bench", "--plan", str(plan), "--workers", "0")
+        assert code == 2
+        assert "error: workers must be >= 1, got 0" in err
+
 
 class TestTune:
     def test_race_outputs_config(self, capsys):

@@ -10,9 +10,12 @@ from tsplab import (
     AcoParams,
     AlnsParams,
     GaParams,
+    RlParams,
     SaParams,
     SolveBudget,
     TabuParams,
+    branch_and_bound,
+    christofides,
     lundy_mees_beta,
     lundy_mees_step,
     metropolis_accept,
@@ -21,9 +24,12 @@ from tsplab import (
     solve_aco,
     solve_alns,
     solve_ga,
+    solve_qlearning,
     solve_sa,
+    solve_sarsa,
     solve_tabu,
     tour_length,
+    two_opt,
     validate_tour,
 )
 from tsplab.solvers.aco import _construct
@@ -153,6 +159,12 @@ _ACO_GA_PIN_CALLS = {
                                                          evaporation_rate=0.24),
                                             SolveBudget(max_evaluations=cap), 7),
     "ga": lambda d, cap: solve_ga(d, GA_P, SolveBudget(max_evaluations=cap), 7),
+    "ga-hybrid": lambda d, cap: solve_ga(d, GA_P, SolveBudget(max_evaluations=cap), 7,
+                                         variant="hybrid_r1"),
+    # Branch and bound's cap is the node count of its proof: the pin holds only
+    # if the search proves the optimum in exactly that many nodes.
+    "bb": lambda d, cap: branch_and_bound(d, "baseline", node_cap=cap),
+    "bb-enhanced": lambda d, cap: branch_and_bound(d, "enhanced_r1", node_cap=cap),
 }
 
 
@@ -169,12 +181,56 @@ _ACO_GA_PIN_CALLS = {
     ("ga", "rnd3", 600, 171.37784728024377, "6e0cd09f6e0ea17c"),
     ("aco", "grid3x2", 21, 10.82842712474619, "9b70d4bfd83afcd6"),
     ("aco-beta400", "grid3x2", 21, 19.478708664619077, "355965af52400f6d"),
+    # Recorded before the solvers read the caller's matrix once as a float
+    # array and handed that array, not its rows, to nearest_neighbor_tour.
+    ("ga-hybrid", "rnd200_1", 300, 1138.9984041539892, "acec7f483e70bb0a"),
+    ("ga-hybrid", "rnd200_2", 300, 1155.2484729299006, "336cbaf8a23c6c81"),
+    ("ga-hybrid", "grid5", 600, 25.414213562373096, "208cc388bc3d62ba"),
+    ("bb", "rnd12", 191897, 350.00577989418167, "12998411331d3eb2"),
+    ("bb-enhanced", "rnd12", 40497, 350.00577989418167, "12998411331d3eb2"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_aco_ga_capped_runs_pinned(solver, instance, cap, best_cost, digest):
     result = _ACO_GA_PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
-    assert (result.best_cost, result.evaluations) == (best_cost, cap)
+    work = result.evaluations if result.nodes_expanded is None else result.nodes_expanded
+    assert (result.best_cost, work) == (best_cost, cap)
     assert tour_digest(result.best) == digest
+
+
+_RL_P = RlParams(learning_rate=0.44, discount=0.97, epsilon=0.09, episodes=60)
+_ENTRY_CALLS = {
+    "sa": lambda d: solve_sa(d, SA_P, SolveBudget(max_evaluations=2000), 7),
+    "sa-lm": lambda d: solve_sa(d, SA_P, SolveBudget(max_evaluations=2000), 7,
+                                variant="lundy_mees_r1"),
+    "tabu": lambda d: solve_tabu(d, TABU_P, SolveBudget(max_evaluations=20), 7),
+    "ga": lambda d: solve_ga(d, GA_P, SolveBudget(max_evaluations=300), 7),
+    "ga-hybrid": lambda d: solve_ga(d, GA_P, SolveBudget(max_evaluations=300), 7,
+                                    variant="hybrid_r1"),
+    "alns": lambda d: solve_alns(d, ALNS_P, SolveBudget(max_evaluations=60), 7),
+    "aco": lambda d: solve_aco(d, ACO_P, SolveBudget(max_evaluations=40), 7),
+    "qlearning": lambda d: solve_qlearning(d, _RL_P, SolveBudget(max_evaluations=100), 7),
+    "sarsa": lambda d: solve_sarsa(d, _RL_P, SolveBudget(max_evaluations=100), 7),
+    "sarsa-boltzmann": lambda d: solve_sarsa(d, _RL_P, SolveBudget(max_evaluations=100), 7,
+                                             variant="boltzmann_o1"),
+    "bb": lambda d: branch_and_bound(d, "baseline"),
+    "bb-enhanced": lambda d: branch_and_bound(d, "enhanced_r1"),
+    "christofides": christofides,
+    "two_opt": lambda d: two_opt([5, 0, 9, 3, 11, 1, 7, 2, 10, 4, 8, 6], d, mode="full"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_CALLS))
+def test_entry_points_read_rows_like_the_array(entry):
+    # A list of rows and the ndarray it came from must give the same run: the
+    # solvers read either once as a float array, two_opt indexes either as given.
+    d = PIN_MATRICES["rnd12"]()
+
+    def outcome(result):
+        if isinstance(result, list):  # christofides and two_opt return a tour
+            return result
+        return (result.best, result.best_cost, result.evaluations, result.nodes_expanded)
+
+    assert outcome(_ENTRY_CALLS[entry](d.tolist())) == outcome(_ENTRY_CALLS[entry](d))
 
 
 @st.composite
@@ -232,16 +288,16 @@ def test_nn_seed_count_rule():
 def test_hybrid_initial_population_nn_seeds():
     from tsplab.solvers.base import RunTracker
 
-    d = random_matrix(10, 3).tolist()
+    d = random_matrix(10, 3)
     rng = random.Random(0)
     tracker = RunTracker(budget=GENEROUS, seed=0)
-    pop, costs = _initial_population(d, 10, GaParams(10, 0.05, 1), rng, True, tracker)
+    pop, costs = _initial_population(d, d.tolist(), 10, GaParams(10, 0.05, 1), rng, True, tracker)
     assert len(pop) == len(costs) == 10
     nn_tours = {tuple(nearest_neighbor_tour(d, start=s)) for s in range(10)}
     seeded = sum(1 for tour in pop if tuple(tour) in nn_tours)
     assert seeded >= 2  # both NN seeds present (random tours may coincide)
 
-    pop4, _ = _initial_population(d, 10, GaParams(4, 0.05, 1), rng, True,
+    pop4, _ = _initial_population(d, d.tolist(), 10, GaParams(4, 0.05, 1), rng, True,
                                   RunTracker(budget=GENEROUS, seed=0))
     assert len(pop4) == 4
     assert not any(tuple(t) in nn_tours for t in pop4)  # below the N >= 5 guard
