@@ -30,9 +30,10 @@ def time_limit_for(n: int, time_scale: float) -> int:
     """Per-run limit in whole seconds: ceil(time_scale * n), never below 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if time_scale <= 0:
-        raise ValueError(f"time_scale must be positive, got {time_scale}")
-    return max(1, math.ceil(time_scale * n))
+    limit = time_scale * n
+    if not (time_scale > 0 and math.isfinite(limit)):
+        raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
+    return max(1, math.ceil(limit))
 
 
 def compute_gap(baseline_cost: float, variant_cost: float) -> float:
@@ -81,8 +82,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {self.time_scale}")
+        if not 0 < self.time_scale < math.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
         if self.metric not in ("best_cost", "runtime"):
             raise ValueError(f"metric must be best_cost or runtime, got {self.metric!r}")
 

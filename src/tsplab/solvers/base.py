@@ -3,6 +3,7 @@ SolverSpec each solver module declares to describe itself to the lab."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,10 +28,11 @@ class SolveBudget:
     def __post_init__(self):
         if self.time_limit is None and self.max_evaluations is None:
             raise ValueError("budget needs a time limit or an evaluation cap")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError(f"time limit must be positive, got {self.time_limit}")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError(f"evaluation cap must be >= 1, got {self.max_evaluations}")
+        # `not 0 < x < inf` also rejects NaN, which compares false to every limit.
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError(f"time_limit must be positive and finite, got {self.time_limit}")
+        if self.max_evaluations is not None and not 1 <= self.max_evaluations < math.inf:
+            raise ValueError(f"max_evaluations must be >= 1 and finite, got {self.max_evaluations}")
 
 
 @dataclass
@@ -82,7 +84,8 @@ class RunTracker:
         b = self.budget
         if b.max_evaluations is not None and self.evaluations >= b.max_evaluations:
             return True
-        if b.time_limit is not None and self.elapsed() >= b.time_limit:
+        # elapsed() inlined: this check runs once per solver iteration.
+        if b.time_limit is not None and time.perf_counter() - self.started >= b.time_limit:
             return True
         return False
 

@@ -44,13 +44,21 @@ def minimum_spanning_tree(d) -> list[tuple[int, int, float]]:
 
 
 def greedy_matching(vertices: list[int], d) -> list[tuple[int, int]]:
-    """Pair up vertices scanning all pairs by ascending weight (then index)."""
-    pairs = sorted(
-        ((float(d[u][v]), u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]),
-    )
+    """Pair up distinct vertices scanning all pairs by ascending weight (then index).
+
+    A pair is (u, v) with u listed before v in `vertices`; pairs are scanned
+    in (d[u][v], u, v) order and the scan stops once at most one vertex is
+    left unmatched.
+    """
+    ids = np.asarray(vertices, dtype=int)
+    first, second = np.triu_indices(len(ids), k=1)
+    us, vs = ids[first], ids[second]
+    order = np.lexsort((vs, us, np.asarray(d, dtype=float)[us, vs]))  # weight, then u, then v
     matched: set[int] = set()
     matching = []
-    for _, u, v in pairs:
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
+        if len(matching) == len(ids) // 2:
+            break
         if u not in matched and v not in matched:
             matching.append((u, v))
             matched.add(u)

@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
-from ..tours import tour_length
+from ..tours import randbelow, tour_length
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SARSA_VARIANTS = ("baseline", "boltzmann_o1")
@@ -163,7 +163,7 @@ def _select(row, unvisited, epsilon, temperature, rng) -> tuple[int, bool]:
         k = bisect_right(list(accumulate(probs.tolist())), rng.random())
         return unvisited[min(k, len(unvisited) - 1)], False
     if rng.random() < epsilon:
-        return unvisited[rng.randrange(len(unvisited))], False
+        return unvisited[randbelow(rng.getrandbits, len(unvisited))], False
     return _greedy(row, unvisited), True
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tours import nearest_neighbor_tour, reversal_delta, tour_length
+from ..tours import nearest_neighbor_tour, randbelow, reversal_delta, tour_length
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SA_VARIANTS = ("baseline", "lundy_mees_r1")
@@ -72,6 +72,7 @@ def solve_sa(
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     tracker = RunTracker(budget=b, seed=seed)
 
     if variant == "baseline":
@@ -89,8 +90,9 @@ def solve_sa(
         beta = lundy_mees_beta(p.t_start, p.t_final, max(planned, 1))
 
     while n >= 4 and not tracker.out_of_budget():
-        i = rng.randrange(n - 1)
-        j = rng.randrange(i + 1, n)
+        # rng.randrange(n - 1), then rng.randrange(i + 1, n): the same draws.
+        i = randbelow(getrandbits, n - 1)
+        j = i + 1 + randbelow(getrandbits, n - i - 1)
         if i == 0 and j == n - 1:
             continue
         delta = reversal_delta(current, dist, i, j)

@@ -200,6 +200,67 @@ def reference_aco_tour(dist, tau, alpha, beta, rng, tiny=1e-12):
     return tour
 
 
+def reference_order_crossover(p1, p2, rng):
+    """GA's order crossover before it filled the child with slices: keep
+    p1[a..b] and walk p2 cyclically from b+1, index by index."""
+    n = len(p1)
+    a, b = rng.randrange(n), rng.randrange(n)
+    if a > b:
+        a, b = b, a
+    child = [-1] * n
+    child[a : b + 1] = p1[a : b + 1]
+    used = set(child[a : b + 1])
+    pos = (b + 1) % n
+    for idx in range(n):
+        city = p2[(b + 1 + idx) % n]
+        if city not in used:
+            child[pos] = city
+            pos = (pos + 1) % n
+    return child
+
+
+def reference_edge_recombination(p1, p2):
+    """GA's edge recombination before it stopped pruning: after each step the
+    visited city is discarded from every adjacency set."""
+    n = len(p1)
+    adj = {c: set() for c in p1}
+    for parent in (p1, p2):
+        for i, city in enumerate(parent):
+            adj[city].add(parent[i - 1])
+            adj[city].add(parent[(i + 1) % n])
+    current = p1[0]
+    tour = [current]
+    remaining = set(p1)
+    remaining.discard(current)
+    while remaining:
+        for neighbors in adj.values():
+            neighbors.discard(current)
+        candidates = adj[current] & remaining
+        if candidates:
+            current = min(candidates, key=lambda c: (len(adj[c] & remaining), c))
+        else:
+            current = min(remaining)
+        tour.append(current)
+        remaining.discard(current)
+    return tour
+
+
+def reference_greedy_matching(vertices, d):
+    """Greedy matching before it sorted in numpy: every pair as a
+    (weight, u, v) tuple, sorted, scanned to the end."""
+    pairs = sorted(
+        ((float(d[u][v]), u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]),
+    )
+    matched = set()
+    matching = []
+    for _, u, v in pairs:
+        if u not in matched and v not in matched:
+            matching.append((u, v))
+            matched.add(u)
+            matched.add(v)
+    return matching
+
+
 def reference_geo_distance(a, b):
     """Direct transcription of the TSPLIB geographical distance rules."""
     PI = 3.141592

@@ -12,6 +12,7 @@ from tsplab import (
     ExperimentPlan,
     InstanceSpec,
     RunRecord,
+    SolveBudget,
     UnknownAlgorithm,
     UnknownParameter,
     ZeroBaseline,
@@ -63,6 +64,29 @@ class TestTimeLimit:
             time_limit_for(10, 0.0)
         with pytest.raises(ValueError):
             time_limit_for(10, -1.0)
+
+    # inf overflowed math.ceil, NaN failed it with an unnamed message, and
+    # 1e308 * 10 overflows to inf.
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 1e308])
+    def test_non_finite_scale_names_the_field(self, scale):
+        with pytest.raises(ValueError, match="time_scale must be positive and finite"):
+            time_limit_for(10, scale)
+
+    @pytest.mark.parametrize("field,value", [
+        ("time_limit", float("nan")), ("time_limit", float("inf")),
+        ("max_evaluations", float("nan")), ("max_evaluations", float("inf")),
+    ])
+    def test_non_finite_solve_budget_names_the_field(self, field, value):
+        # A NaN limit compares false to every elapsed time: the run never stops.
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SolveBudget(**{field: value})
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "-inf"])
+    def test_non_finite_plan_scale_names_the_field(self, scale):
+        with pytest.raises(ValueError, match="time_scale must be positive and finite"):
+            parse_plan(f"time_scale = {scale}\n[instances]\nrandom n=5 seed=0\n[algorithms]\nsa\n")
+        with pytest.raises(ValueError, match="time_scale must be positive and finite"):
+            ExperimentPlan(instances=[], algorithms=[], time_scale=float(scale))
 
 
 class TestComputeGap:

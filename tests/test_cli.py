@@ -155,6 +155,14 @@ class TestSolve:
         assert "error:" in err and "overflow" in err
         assert out == ""
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e308"])
+    def test_non_finite_time_scale_is_data_error(self, capsys, triangle_file, scale):
+        code, out, err = run_cli(capsys, "solve", "--instance", triangle_file,
+                                 "--algorithm", "sa", "--time-scale", scale)
+        assert code == 2
+        assert "error: time_scale must be positive and finite" in err
+        assert out == ""
+
     def test_missing_instance_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--instance", "nope.tsp",
                                "--algorithm", "tabu")
@@ -238,7 +246,29 @@ class TestBench:
         assert "error: workers must be >= 1, got 0" in err
 
 
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_time_scale_is_data_error(self, capsys, tmp_path, scale):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"repetitions = 1\ntime_scale = {scale}\n"
+                        "[instances]\nrandom n=5 seed=0\n[algorithms]\nsa\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+        assert code == 2
+        assert "error: time_scale must be positive and finite" in err
+        assert out == ""
+
+
 class TestTune:
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_time_scale_is_data_error(self, capsys, scale):
+        code, out, err = run_cli(
+            capsys, "tune", "--algorithm", "sa", "--instances", "random n=6 seed=0",
+            "--budget", "8", "--candidates", "2", "--time-scale", scale,
+        )
+        assert code == 2
+        assert "error: time_scale must be positive and finite" in err
+        assert out == ""
+
     def test_race_outputs_config(self, capsys):
         code, out, err = run_cli(
             capsys, "tune", "--algorithm", "qlearning",

@@ -1,5 +1,7 @@
 import hashlib
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,13 @@ from tsplab import (
     validate_tour,
 )
 
-from ._oracles import brute_force_optimum, minimum_spanning_tree_weight, tour_cost
-from .conftest import SQUARE_COORDS, TRI_COORDS
+from ._oracles import (
+    brute_force_optimum,
+    minimum_spanning_tree_weight,
+    reference_greedy_matching,
+    tour_cost,
+)
+from .conftest import SQUARE_COORDS, TRI_COORDS, random_matrix, tour_digest
 
 
 def _euclid_instance(n, seed):
@@ -228,3 +235,38 @@ class TestConvexHullTour:
         inst, d = unit_square
         tour = convex_hull_tour(inst, d)
         assert tour_length(tour, d) == pytest.approx(tour_cost(tour, d), abs=0)
+
+
+# --- greedy matching against the parent-commit reference ---------------------
+
+@st.composite
+def _matching_case(draw):
+    n = draw(st.integers(1, 30))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    # Few distinct weights, -0.0 among them: many ties, broken by (u, v). The
+    # matrix need not be symmetric; both read d[u][v] with u listed first.
+    tied = draw(st.booleans())
+    d = [[rnd.choice((0.0, -0.0, 1.0, 2.0)) if tied else rnd.uniform(0.0, 100.0)
+          for _ in range(n)] for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    vertices = list(order[: draw(st.integers(0, n))])  # unsorted, odd or even length
+    return vertices, d
+
+
+@given(_matching_case())
+@settings(max_examples=300, deadline=None)
+def test_greedy_matching_matches_reference(case):
+    vertices, d = case
+    assert greedy_matching(vertices, d) == reference_greedy_matching(vertices, d)
+    assert greedy_matching(vertices, np.asarray(d)) == reference_greedy_matching(vertices, d)
+
+
+@pytest.mark.parametrize("seed,cost,digest", [
+    (1, 2746.2459237227613, "a06ddef10bf539bc"),  # 440 odd-degree vertices
+    (2, 2873.106942044202, "2b77cbeb71c5b184"),  # 444
+])
+def test_christofides_n1000_pinned(seed, cost, digest):
+    # Recorded at the commit before greedy_matching sorted its pairs in numpy.
+    d = random_matrix(1000, seed)
+    tour = christofides(d)
+    assert (tour_length(tour, d), tour_digest(tour)) == (cost, digest)

@@ -34,9 +34,14 @@ from tsplab import (
 )
 from tsplab.solvers.aco import _construct
 from tsplab.solvers.alns import update_weights
-from tsplab.solvers.ga import _initial_population
+from tsplab.solvers.ga import _edge_recombination, _initial_population, _order_crossover
 
-from ._oracles import brute_force_optimum, reference_aco_tour
+from ._oracles import (
+    brute_force_optimum,
+    reference_aco_tour,
+    reference_edge_recombination,
+    reference_order_crossover,
+)
 from .conftest import PIN_MATRICES, random_matrix, tour_digest
 
 GENEROUS = SolveBudget(time_limit=10.0, max_evaluations=6000)
@@ -410,3 +415,30 @@ def test_sa_params_validation():
         SaParams(t_start=0.1, t_final=1.0, cooling_rate=0.9)
     with pytest.raises(ValueError):
         SaParams(t_start=1.0, t_final=0.1, cooling_rate=1.5)
+
+
+# --- GA crossovers against the parent-commit references ----------------------
+
+@st.composite
+def _parents(draw):
+    n = draw(st.integers(1, 60))
+    p1 = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["random", "identical", "reversed"]))
+    p2 = {"identical": p1, "reversed": p1[::-1]}.get(kind) or draw(st.permutations(range(n)))
+    return list(p1), list(p2)
+
+
+@given(_parents(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_order_crossover_matches_reference(parents, seed):
+    p1, p2 = parents
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _order_crossover(p1, p2, ours.getrandbits) == reference_order_crossover(p1, p2, theirs)
+    assert ours.random() == theirs.random()
+
+
+@given(_parents())
+@settings(max_examples=300, deadline=None)
+def test_edge_recombination_matches_reference(parents):
+    p1, p2 = parents
+    assert _edge_recombination(p1, p2) == reference_edge_recombination(p1, p2)

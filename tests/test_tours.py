@@ -14,6 +14,7 @@ from tsplab import (
     validate_tour,
 )
 from tsplab.instances import Instance, build_distance_matrix
+from tsplab.tours import randbelow
 
 from ._oracles import has_improving_two_opt, reference_cheapest_insertion, tour_cost
 from .conftest import random_matrix
@@ -190,3 +191,48 @@ def test_cheapest_insertion_matches_sequential_scan(layout, criterion, data):
 def test_cheapest_insertion_unknown_criterion():
     with pytest.raises(ValueError, match="angle"):
         cheapest_insertion([0, 1], [2], [[0.0] * 3] * 3, criterion="angle")
+
+
+# --- randbelow: randrange's draws at getrandbits speed ------------------------
+
+# 1 and every 2^k - 1, 2^k, 2^k + 1 up to 2^40: the bit length and the
+# rejection rate both change at the powers of two.
+_RANDBELOW_EDGES = sorted({1} | {2**k + e for k in range(41) for e in (-1, 0, 1)} - {0})
+
+
+@pytest.mark.parametrize("n", _RANDBELOW_EDGES)
+def test_randbelow_draws_as_randrange_at_bit_length_edges(n):
+    ours, theirs = random.Random(n), random.Random(n)
+    for _ in range(40):
+        assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
+    assert ours.random() == theirs.random()  # and leaves the stream in the same place
+
+
+@given(st.integers(0, 2**64), st.lists(
+    st.one_of(st.integers(1, 2**40), st.sampled_from(_RANDBELOW_EDGES)), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_randbelow_draws_as_randrange_interleaved(seed, sizes):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in sizes:
+        assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.random() == theirs.random()
+
+
+@given(st.integers(0, 2**64), st.integers(2, 2**20))
+@settings(max_examples=200, deadline=None)
+def test_reversal_pair_draws_as_randrange(seed, n):
+    # The (i, j) pair of SA and stochastic 2-opt: randrange(n - 1), then
+    # randrange(i + 1, n).
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        i = randbelow(ours.getrandbits, n - 1)
+        j = i + 1 + randbelow(ours.getrandbits, n - i - 1)
+        ti = theirs.randrange(n - 1)
+        assert (i, j) == (ti, theirs.randrange(ti + 1, n))
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_randbelow_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match="empty range"):
+        randbelow(random.Random(0).getrandbits, n)
