@@ -3,7 +3,7 @@
 Runs are embarrassingly parallel; each gets a seed derived by content hash
 from (base_seed, algorithm, variant, instance, rep), a time limit of
 ceil(time_scale * n) seconds, and its tour is re-validated and re-costed by
-the harness before anything is recorded.
+run_solver before anything is recorded.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 from .errors import ZeroBaseline
 from .instances import Instance, build_distance_matrix, generate_random_instance, parse_instance
 from .seeding import stable_hash
 from .solvers import SolveBudget, get_algorithm, resolve_config, run_solver
-from .tours import tour_length, validate_tour
 
 CSV_HEADER = "algorithm,variant,config_id,instance,n,seed,rep,best_cost,elapsed_s,evaluations,nodes_expanded,status"
 
@@ -205,10 +205,7 @@ def _parse_algorithm_line(line: str) -> AlgorithmSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
-    algorithm: str
-    variant: str
-    config_id: str
-    values: dict
+    algo: AlgorithmSpec
     instance_index: int
     rep: int
     seed: int
@@ -226,10 +223,7 @@ def expand_plan(plan: ExperimentPlan, names: list[str], sizes: list[int]) -> lis
             for rep in range(reps):
                 seed = stable_hash(plan.base_seed, spec.algorithm, spec.variant, name, rep)
                 specs.append(RunSpec(
-                    algorithm=spec.algorithm,
-                    variant=spec.variant,
-                    config_id=spec.config_id,
-                    values=spec.values,
+                    algo=spec,
                     instance_index=idx,
                     rep=rep,
                     seed=seed,
@@ -239,37 +233,20 @@ def expand_plan(plan: ExperimentPlan, names: list[str], sizes: list[int]) -> lis
 
 
 def _execute_spec(spec: RunSpec, inst: Instance, matrix) -> RunRecord:
+    algo = spec.algo
+    shared = dict(algorithm=algo.algorithm, variant=algo.variant, config_id=algo.config_id,
+                  instance=inst.name, n=inst.dimension, seed=spec.seed, rep=spec.rep)
     budget = SolveBudget(time_limit=float(spec.time_limit))
     try:
-        outcome = run_solver(
-            spec.algorithm, inst, matrix, spec.values, spec.variant, budget, spec.seed
-        )
-        check = validate_tour(outcome.best, inst.dimension)
-        if not check.ok:
-            raise ValueError(f"solver returned an invalid tour: {check.problem}")
-        cost = tour_length(outcome.best, matrix)  # harness re-costs independently
-        if abs(cost - outcome.best_cost) > 1e-9 * max(1.0, abs(cost)):
-            raise ValueError(
-                f"reported cost {outcome.best_cost} != recomputed {cost}"
-            )
-        status = "ok"
-        if outcome.elapsed > _GRACE_FACTOR * spec.time_limit:
-            status = "timeout_with_result"
-        if outcome.proven_optimal is False:
-            status = "timeout_with_result"
-        return RunRecord(
-            algorithm=spec.algorithm, variant=spec.variant, config_id=spec.config_id,
-            instance=inst.name, n=inst.dimension, seed=spec.seed, rep=spec.rep,
-            best_cost=cost, elapsed_s=outcome.elapsed, evaluations=outcome.evaluations,
-            nodes_expanded=outcome.nodes_expanded, status=status,
-        )
+        outcome = run_solver(algo.algorithm, inst, matrix, algo.values, algo.variant,
+                             budget, spec.seed)
     except Exception:
-        return RunRecord(
-            algorithm=spec.algorithm, variant=spec.variant, config_id=spec.config_id,
-            instance=inst.name, n=inst.dimension, seed=spec.seed, rep=spec.rep,
-            best_cost=None, elapsed_s=0.0, evaluations=None,
-            nodes_expanded=None, status="failed",
-        )
+        return RunRecord(**shared, best_cost=None, elapsed_s=0.0, evaluations=None,
+                         nodes_expanded=None, status="failed")
+    late = outcome.elapsed > _GRACE_FACTOR * spec.time_limit or outcome.proven_optimal is False
+    return RunRecord(**shared, best_cost=outcome.best_cost, elapsed_s=outcome.elapsed,
+                     evaluations=outcome.evaluations, nodes_expanded=outcome.nodes_expanded,
+                     status="timeout_with_result" if late else "ok")
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
@@ -281,19 +258,13 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
     names = [inst.name for inst in resolved]
     sizes = [inst.dimension for inst in resolved]
     specs = expand_plan(plan, names, sizes)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                _execute_spec,
-                specs,
-                (resolved[s.instance_index] for s in specs),
-                (matrices[s.instance_index] for s in specs),
-            ))
-    else:
-        records = [
-            _execute_spec(s, resolved[s.instance_index], matrices[s.instance_index])
-            for s in specs
-        ]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        records = list((map if pool is None else pool.map)(
+            _execute_spec,
+            specs,
+            (resolved[s.instance_index] for s in specs),
+            (matrices[s.instance_index] for s in specs),
+        ))
     records.sort(key=lambda r: (r.algorithm, r.variant, r.config_id, r.instance, r.rep))
     return records
 
@@ -411,18 +382,17 @@ def gap_table(records: list[RunRecord], baseline_variant: str = "baseline") -> l
     return rows
 
 
-def json_report(plan: ExperimentPlan, records: list[RunRecord],
-                baseline_variant: str = "baseline") -> dict:
+def json_report(plan: ExperimentPlan, records: list[RunRecord]) -> dict:
     """Versioned report: plan echo, per-group stats, gap table."""
     return {
         "schema": 1,
         "plan": asdict(plan),
         "summary": [asdict(s) for s in summarize(records, metric=plan.metric)],
-        "gaps": gap_table(records, baseline_variant=baseline_variant),
+        "gaps": gap_table(records),
     }
 
 
-def write_json_report(plan, records, path: str, baseline_variant: str = "baseline") -> None:
+def write_json_report(plan, records, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_report(plan, records, baseline_variant), fh, indent=2)
+        json.dump(json_report(plan, records), fh, indent=2)
         fh.write("\n")

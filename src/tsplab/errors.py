@@ -29,6 +29,10 @@ class DimensionMismatch(TsplabError):
     """Tour length disagrees with the matrix dimension."""
 
 
+class InvalidTour(TsplabError):
+    """A solver returned a non-permutation or misreported its tour's cost."""
+
+
 class NoCoordinates(TsplabError):
     """Operation requires coordinates but the instance has none."""
 

@@ -136,25 +136,19 @@ def _weights_to_matrix(values: list[float], n: int, fmt: str) -> list[list[float
         raise CountMismatch(
             f"{len(values)} weights for {fmt} with dimension {n}, expected {expected}"
         )
-    m = [[0.0] * n for _ in range(n)]
-    it = iter(values)
+    # Each format lists its cells in row-major order of one index set.
     if fmt == "FULL_MATRIX":
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = next(it)
+        rows, cols = (idx.ravel() for idx in np.indices((n, n)))
     elif fmt == "LOWER_DIAG_ROW":
-        for i in range(n):
-            for j in range(i + 1):
-                v = next(it)
-                m[i][j] = v
-                m[j][i] = v
+        rows, cols = np.tril_indices(n)
     else:  # UPPER_ROW
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = next(it)
-                m[i][j] = v
-                m[j][i] = v
-    return m
+        rows, cols = np.triu_indices(n, k=1)
+    m = np.zeros((n, n))
+    weights = np.asarray(values, dtype=float)
+    m[rows, cols] = weights
+    if fmt != "FULL_MATRIX":
+        m[cols, rows] = weights
+    return m.tolist()
 
 
 def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:

@@ -6,8 +6,9 @@ derived from those specs.
 
 from __future__ import annotations
 
-from ..errors import UnknownAlgorithm, UnknownParameter
+from ..errors import InvalidTour, UnknownAlgorithm, UnknownParameter
 from ..instances import Instance
+from ..tours import tour_length, validate_tour
 from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
 from .aco import AcoParams, solve_aco
 from .alns import AlnsParams, solve_alns, update_weights
@@ -102,13 +103,24 @@ def run_solver(
     budget: SolveBudget | None,
     seed: int,
 ) -> SolveResult:
-    """Run one algorithm; stochastic solvers require a budget.
+    """Run one algorithm and check its tour; stochastic solvers require a budget.
 
     values override the original preset, so callers may give only the knobs
-    they care about.
+    they care about. The returned tour is re-validated as a permutation of
+    the instance's cities and re-costed on `matrix`; a tour that fails, or a
+    reported cost off by more than 1e-9 relative, raises InvalidTour. The
+    result carries the re-costed best_cost.
     """
     spec = get_algorithm(algorithm)
     _, values = resolve_config(algorithm, variant, values=values)
     if spec.kind == "stochastic" and budget is None:
         raise ValueError(f"{algorithm} needs a budget")
-    return spec.run(inst, matrix, spec.make_params(values), variant, budget, seed)
+    result = spec.run(inst, matrix, spec.make_params(values), variant, budget, seed)
+    check = validate_tour(result.best, inst.dimension)
+    if not check.ok:
+        raise InvalidTour(f"{algorithm} returned an invalid tour: {check.problem}")
+    cost = tour_length(result.best, matrix)
+    if abs(cost - result.best_cost) > 1e-9 * max(1.0, abs(cost)):
+        raise InvalidTour(f"{algorithm} reported cost {result.best_cost} != recomputed {cost}")
+    result.best_cost = cost
+    return result

@@ -72,14 +72,11 @@ def christofides(d) -> list[int]:
     if n == 2:
         return [0, 1]
     mst = minimum_spanning_tree(d)
-    degree = [0] * n
     adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
     for u, v, _ in mst:
-        degree[u] += 1
-        degree[v] += 1
         adjacency[u].append(v)
         adjacency[v].append(u)
-    odd = [v for v in range(n) if degree[v] % 2 == 1]
+    odd = [v for v in range(n) if len(adjacency[v]) % 2 == 1]
     for u, v in greedy_matching(odd, d):
         adjacency[u].append(v)
         adjacency[v].append(u)

@@ -95,7 +95,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
                 a, bpos = randbelow(getrandbits, n), randbelow(getrandbits, n)
                 child[a], child[bpos] = child[bpos], child[a]
             if hybrid:
-                child = two_opt(child, dist, mode="stochastic", tries=n, rng=rng)
+                child = two_opt(child, dist, mode="stochastic", rng=rng)
             child_cost = tour_length(child, dist)
             tracker.evaluations += 1
             was_best = tracker.offer(child, child_cost)

@@ -115,7 +115,6 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
     scale = max(float(matrix.max()), _TINY)
-    dn = [(row / scale).tolist() for row in matrix]  # row by row: no n x n temporary
     rng = random.Random(seed)
     tracker = RunTracker(budget=b, seed=seed)
     q = [[0.0] * n for _ in range(n)]
@@ -131,10 +130,10 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
         while unvisited:
             unvisited.remove(a)
             tour.append(a)
-            r = -dn[s][a]
+            r = -(dist[s][a] / scale)
             if not unvisited:
                 # Terminal: fold in the closing edge, bootstrap nothing.
-                q[s][a] = q_update(q[s][a], lr, r - dn[a][start], 0.0, 0.0)
+                q[s][a] = q_update(q[s][a], lr, r - dist[a][start] / scale, 0.0, 0.0)
                 break
             a_next, greedy = _select(q[a], unvisited, p.epsilon, temperature, rng)
             if on_policy or greedy:

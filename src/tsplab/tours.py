@@ -138,14 +138,13 @@ def two_opt(
     order,
     d,
     mode: str = "full",
-    tries: int | None = None,
     rng: random.Random | None = None,
 ) -> list[int]:
     """2-opt local search; never increases cost.
 
     mode="full": first-improvement sweeps until no improving reversal exists.
-    mode="stochastic": samples `tries` random reversal pairs (default n),
-    applying each improving one; requires rng.
+    mode="stochastic": samples n random reversal pairs, applying each
+    improving one; requires rng.
 
     d is indexed as given, d[a][b], in the inner loop: a list of lists (such
     as ndarray.tolist()) runs about 3x faster than an ndarray, whose every
@@ -172,7 +171,7 @@ def two_opt(
                         improved = True
         return tour
     getrandbits = rng.getrandbits
-    for _ in range(n if tries is None else tries):
+    for _ in range(n):
         # rng.randrange(n - 1), then rng.randrange(i + 1, n): the same draws.
         i = randbelow(getrandbits, n - 1)
         j = i + 1 + randbelow(getrandbits, n - i - 1)

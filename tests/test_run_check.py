@@ -1,0 +1,88 @@
+"""run_solver re-validates and re-costs every tour, and each entry point that
+runs a solver (library, bench, solve, tune) gets the check from it."""
+
+import dataclasses
+
+import pytest
+
+from tsplab import (
+    InvalidTour,
+    SolveBudget,
+    SolveResult,
+    build_distance_matrix,
+    generate_random_instance,
+    parse_plan,
+    race,
+    render_instance,
+    run_experiment,
+    run_solver,
+    tour_length,
+)
+from tsplab.cli import main
+from tsplab.solvers import ALGORITHMS
+
+INST = generate_random_instance(6, 3)
+
+
+def _repeated_city(inst, d, params, variant, budget, seed):
+    tour = [0] + list(range(inst.dimension - 1))  # city 0 twice, the last city never
+    return SolveResult(tour, tour_length(tour, d), None, 1, seed, 0.0)
+
+
+def _halved_cost(inst, d, params, variant, budget, seed):
+    tour = list(range(inst.dimension))
+    return SolveResult(tour, tour_length(tour, d) / 2, None, 1, seed, 0.0)
+
+
+BAD_RUNS = {
+    "non-permutation": (_repeated_city, "invalid tour: duplicate index"),
+    "misreported cost": (_halved_cost, "reported cost"),
+}
+
+
+@pytest.fixture(params=sorted(BAD_RUNS))
+def bad_tabu(request, monkeypatch):
+    """Swaps tabu's run for one that returns a bad result; yields the message."""
+    run, message = BAD_RUNS[request.param]
+    monkeypatch.setitem(ALGORITHMS, "tabu", dataclasses.replace(ALGORITHMS["tabu"], run=run))
+    return message
+
+
+def test_run_solver_raises(bad_tabu):
+    d = build_distance_matrix(INST)
+    with pytest.raises(InvalidTour, match=bad_tabu):
+        run_solver("tabu", INST, d, None, "baseline", SolveBudget(time_limit=1.0), 0)
+
+
+def test_bench_writes_failed_row(bad_tabu):
+    plan = parse_plan("repetitions = 1\ntime_scale = 0.05\n"
+                      "[instances]\nrandom n=6 seed=3\n[algorithms]\ntabu\n")
+    (row,) = run_experiment(plan, workers=1)
+    assert row.status == "failed" and row.best_cost is None
+
+
+def test_solve_is_data_error(bad_tabu, capsys, tmp_path):
+    path = tmp_path / "six.tsp"
+    path.write_text(render_instance(INST), encoding="utf-8")
+    code = main(["solve", "--instance", str(path), "--algorithm", "tabu",
+                 "--time-scale", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and bad_tabu in captured.err
+
+
+def test_race_default_runner_raises(bad_tabu):
+    with pytest.raises(InvalidTour, match=bad_tabu):
+        race("tabu", instances=[INST], budget=2, candidates=2, time_scale=0.05)
+
+
+def test_cost_within_tolerance_is_re_costed(monkeypatch):
+    def nudged(inst, d, params, variant, budget, seed):
+        tour = list(range(inst.dimension))
+        return SolveResult(tour, tour_length(tour, d) * (1 + 1e-12), None, 1, seed, 0.0)
+
+    monkeypatch.setitem(ALGORITHMS, "tabu", dataclasses.replace(ALGORITHMS["tabu"], run=nudged))
+    d = build_distance_matrix(INST)
+    out = run_solver("tabu", INST, d, None, "baseline", SolveBudget(time_limit=1.0), 0)
+    assert out.best_cost == tour_length(list(range(INST.dimension)), d)
