@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -120,6 +121,23 @@ class SummaryStats:
     n_a: bool = False
 
 
+# Header and random-instance keys, each with its value conversion; the
+# dataclass defaults fill in the keys a plan leaves out.
+_HEADER_KEYS = {"repetitions": int, "base_seed": int, "time_scale": float,
+                "metric": str, "rounding": str}
+_RANDOM_KEYS = {"n": int, "seed": int, "lo": float, "hi": float}
+
+
+def _check_keys(given, valid, required, context: str) -> None:
+    """Reject unknown and missing keys, naming them and every valid key."""
+    unknown = [k for k in given if k not in valid]
+    missing = [k for k in required if k not in given]
+    if unknown or missing:
+        problem = (f"unknown key {', '.join(map(repr, unknown))}" if unknown
+                   else f"missing key {', '.join(map(repr, missing))}")
+        raise ValueError(f"{context}: {problem}; valid: {', '.join(valid)}")
+
+
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse the plain-text plan format (key = value header plus two lists)."""
     header: dict[str, str] = {}
@@ -148,15 +166,9 @@ def parse_plan(text: str) -> ExperimentPlan:
         raise ValueError("plan has no [instances]")
     if not algorithms:
         raise ValueError("plan has no [algorithms]")
-    return ExperimentPlan(
-        instances=instances,
-        algorithms=algorithms,
-        repetitions=int(header.get("repetitions", 30)),
-        base_seed=int(header.get("base_seed", 0)),
-        time_scale=float(header.get("time_scale", 1.0)),
-        metric=header.get("metric", "best_cost"),
-        rounding=header.get("rounding", "none"),
-    )
+    _check_keys(header, _HEADER_KEYS, (), "plan header")
+    return ExperimentPlan(instances=instances, algorithms=algorithms,
+                          **{k: _HEADER_KEYS[k](v) for k, v in header.items()})
 
 
 def load_plan(path: str) -> ExperimentPlan:
@@ -183,13 +195,8 @@ def _parse_instance_line(line: str) -> InstanceSpec:
         return InstanceSpec(source="file", path=tokens[1])
     if kind == "random":
         kv = _parse_kv(tokens[1:], "instance line")
-        return InstanceSpec(
-            source="random",
-            n=int(kv["n"]),
-            seed=int(kv["seed"]),
-            lo=float(kv.get("lo", 0.0)),
-            hi=float(kv.get("hi", 100.0)),
-        )
+        _check_keys(kv, _RANDOM_KEYS, ("n", "seed"), f"instance line {line!r}")
+        return InstanceSpec(source="random", **{k: _RANDOM_KEYS[k](v) for k, v in kv.items()})
     raise ValueError(f"unknown instance source {kind!r}")
 
 
@@ -256,6 +263,10 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
     resolved = [spec.resolve() for spec in plan.instances]
     matrices = [build_distance_matrix(inst, plan.rounding) for inst in resolved]
     names = [inst.name for inst in resolved]
+    shared = sorted(name for name, count in Counter(names).items() if count > 1)
+    if shared:
+        raise ValueError(f"plan instances share the name {', '.join(map(repr, shared))}; "
+                         "each instance needs its own NAME")
     sizes = [inst.dimension for inst in resolved]
     specs = expand_plan(plan, names, sizes)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -291,13 +302,17 @@ def write_csv(records: list[RunRecord], path: str | None = None) -> str:
 
 
 def read_csv(text: str) -> list[RunRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != CSV_HEADER.split(","):
+    reader = csv.reader(io.StringIO(text))
+    header = CSV_HEADER.split(",")
+    if next(reader, None) != header:
         raise ValueError("unrecognized CSV header")
     records = []
-    for row in rows[1:]:
+    for row in reader:
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
+                             f"expected {len(header)}")
         records.append(RunRecord(
             algorithm=row[0], variant=row[1], config_id=row[2], instance=row[3],
             n=int(row[4]), seed=int(row[5]), rep=int(row[6]),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tours import tour_length
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _TINY = 1e-12
@@ -52,9 +51,7 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
         iteration_tours = []
         for _ in range(p.ants):
             tour = _construct(weight, n, rng)
-            cost = tour_length(tour, dist)
-            tracker.evaluations += 1
-            tracker.offer(tour, cost)
+            cost, _ = tracker.evaluate(tour, dist)
             iteration_tours.append((tour, cost))
             if tracker.out_of_budget():
                 break

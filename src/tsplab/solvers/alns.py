@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from ..tours import cheapest_insertion, nearest_neighbor_tour, tour_length
+from ..tours import cheapest_insertion, nearest_neighbor_tour
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _SCORES = (3.0, 1.0, 0.0)  # new global best, accepted, rejected
@@ -53,9 +54,7 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     tracker = RunTracker(budget=b, seed=seed)
 
     current = nearest_neighbor_tour(matrix, start=0)
-    current_cost = tour_length(current, dist)
-    tracker.evaluations += 1
-    tracker.offer(current, current_cost)
+    current_cost, _ = tracker.evaluate(current, dist)
 
     weights = [1.0, 1.0]
     k_remove = min(max(1, math.ceil(p.removal_fraction * n)), n - 1)
@@ -69,11 +68,8 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
         removed_set = set(removed)
         partial = [c for c in current if c not in removed_set]
         candidate = cheapest_insertion(partial, sorted(removed_set), matrix)
-        cost = tour_length(candidate, dist)
-        tracker.evaluations += 1
-        is_best = cost < tracker.best_cost
+        cost, is_best = tracker.evaluate(candidate, dist)
         accepted = cost <= current_cost
-        tracker.offer(candidate, cost)
         if accepted:
             current, current_cost = candidate, cost
         score = _SCORES[0] if is_best else (_SCORES[1] if accepted else _SCORES[2])
@@ -94,16 +90,8 @@ SPEC = SolverSpec(
 
 def roulette(weights: list[float], rng) -> int:
     """Index drawn with probability proportional to its weight; 0 when all are zero."""
-    total = sum(weights)
-    if total <= 0.0:
-        return 0
-    r = rng.random() * total
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return k
-    return len(weights) - 1
+    cum = list(accumulate(weights))
+    return rng.choices(range(len(cum)), cum_weights=cum)[0] if cum[-1] > 0.0 else 0
 
 
 def _worst_contributors(tour, dist, k) -> list[int]:

@@ -10,6 +10,7 @@ from functools import cached_property
 from typing import Callable, get_type_hints
 
 from ..errors import NoSuchColumn, UnknownAlgorithm
+from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
 
@@ -58,7 +59,11 @@ class SolveResult:
 
 @dataclass
 class RunTracker:
-    """Clock, evaluation counter, and strictly-improving incumbent record."""
+    """Clock, evaluation counter, and strictly-improving incumbent record.
+
+    evaluate() is the one place a complete tour is costed, counted as one
+    evaluation and offered to the incumbent.
+    """
 
     budget: SolveBudget
     seed: int
@@ -79,6 +84,12 @@ class RunTracker:
             self.trajectory.append((self.elapsed(), cost))
             return True
         return False
+
+    def evaluate(self, tour: list[int], d) -> tuple[float, bool]:
+        """Cost a complete tour on d, count it, offer it: (cost, is_new_best)."""
+        cost = tour_length(tour, d)
+        self.evaluations += 1
+        return cost, self.offer(tour, cost)
 
     def out_of_budget(self) -> bool:
         b = self.budget

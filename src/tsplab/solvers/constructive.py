@@ -7,14 +7,12 @@ blossom matching, which weakens the classical 1.5 approximation guarantee to
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..errors import DegenerateInput, NoCoordinates
 from ..instances import Instance
-from ..tours import cheapest_insertion, tour_length
-from .base import SolveResult, SolverSpec
+from ..tours import cheapest_insertion
+from .base import RunTracker, SolveResult, SolverSpec
 
 _EPS = 1e-12
 
@@ -162,14 +160,11 @@ def convex_hull_tour(inst: Instance, d, criterion: str = "ratio") -> list[int]:
 
 
 def _timed(construct):
-    """A SolverSpec run function that times one construction and costs its tour."""
+    """A SolverSpec run function that times one construction and evaluates its tour."""
     def run(inst, d, params, variant, budget, seed) -> SolveResult:
-        started = time.perf_counter()
-        tour = construct(inst, d)
-        elapsed = time.perf_counter() - started
-        cost = tour_length(tour, d)
-        return SolveResult(best=tour, best_cost=cost, trajectory=[(elapsed, cost)],
-                           evaluations=1, seed=seed, elapsed=elapsed)
+        tracker = RunTracker(budget, seed)
+        tracker.evaluate(construct(inst, d), d)
+        return tracker.result()
     return run
 
 

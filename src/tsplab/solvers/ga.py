@@ -14,12 +14,13 @@ replacement.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from ..tours import nearest_neighbor_tour, randbelow, tour_length, two_opt
+from ..tours import nearest_neighbor_tour, randbelow, two_opt
 from .alns import roulette, update_weights
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
@@ -96,9 +97,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
                 child[a], child[bpos] = child[bpos], child[a]
             if hybrid:
                 child = two_opt(child, dist, mode="stochastic", rng=rng)
-            child_cost = tour_length(child, dist)
-            tracker.evaluations += 1
-            was_best = tracker.offer(child, child_cost)
+            child_cost, was_best = tracker.evaluate(child, dist)
             if hybrid:
                 score = _SCORE_GLOBAL_BEST if was_best else (
                     _SCORE_IMPROVED if child_cost < min(costs[i1], costs[i2]) else 0.0
@@ -137,12 +136,7 @@ def _initial_population(matrix, dist, n, p, rng, hybrid, tracker):
         perm = list(range(n))
         rng.shuffle(perm)
         pop.append(perm)
-    costs = []
-    for tour in pop:
-        cost = tour_length(tour, dist)
-        tracker.evaluations += 1
-        tracker.offer(tour, cost)
-        costs.append(cost)
+    costs = [tracker.evaluate(tour, dist)[0] for tour in pop]
     return pop, costs
 
 
@@ -213,10 +207,7 @@ def _best_cost_insertion_crossover(p1, p2, dist, getrandbits) -> list[int]:
 
 
 def _refresh_duplicates(pop, costs, dist, n, p, rng, tracker):
-    counts: dict[float, int] = {}
-    for c in costs:
-        counts[c] = counts.get(c, 0) + 1
-    worst_cost, count = max(counts.items(), key=lambda kv: kv[1])
+    worst_cost, count = Counter(costs).most_common(1)[0]
     if count <= p.diversity_threshold * p.population_size:
         return
     kept_one = False
@@ -228,7 +219,5 @@ def _refresh_duplicates(pop, costs, dist, n, p, rng, tracker):
             continue
         perm = list(range(n))
         rng.shuffle(perm)
-        cost = tour_length(perm, dist)
-        tracker.evaluations += 1
-        tracker.offer(perm, cost)
-        pop[i], costs[i] = perm, cost
+        costs[i], _ = tracker.evaluate(perm, dist)
+        pop[i] = perm

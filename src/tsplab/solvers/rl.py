@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
-from ..tours import randbelow, tour_length
+from ..tours import randbelow
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SARSA_VARIANTS = ("baseline", "boltzmann_o1")
@@ -142,16 +142,12 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
                 bootstrap = max(map(q[a].__getitem__, unvisited))
             q[s][a] = q_update(q[s][a], lr, r, df, bootstrap)
             s, a = a, a_next
-        cost = tour_length(tour, dist)
-        tracker.evaluations += 1
-        tracker.offer(tour, cost)
+        tracker.evaluate(tour, dist)
         if tracker.out_of_budget():
             break
 
     if not tracker.out_of_budget():
-        greedy = _greedy_rollout(q, n)
-        tracker.evaluations += 1
-        tracker.offer(greedy, tour_length(greedy, dist))
+        tracker.evaluate(_greedy_rollout(q, n), dist)
     return tracker.result()
 
 

@@ -80,9 +80,7 @@ def solve_sa(
         rng.shuffle(current)
     else:
         current = nearest_neighbor_tour(matrix, start=0)
-    current_cost = tour_length(current, dist)
-    tracker.evaluations += 1
-    tracker.offer(current, current_cost)
+    current_cost, _ = tracker.evaluate(current, dist)
 
     temperature = p.t_start
     if variant == "lundy_mees_r1":

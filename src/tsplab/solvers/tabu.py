@@ -48,9 +48,7 @@ def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
     tracker = RunTracker(budget=b, seed=seed)
 
     current = nearest_neighbor_tour(matrix, start=0)
-    current_cost = tour_length(current, dist)
-    tracker.evaluations += 1
-    tracker.offer(current, current_cost)
+    current_cost, _ = tracker.evaluate(current, dist)
 
     tabu: dict[frozenset, int] = {}
     iteration = 0

@@ -282,3 +282,26 @@ def reference_geo_distance(a, b):
 # Frozen by exhaustive 11-permutation enumeration (39,916,800 tours), and
 # confirmed by an independent subset-DP run; both returned this exact float.
 RND12_S3_OPTIMUM = 350.00577989418167
+
+
+def reference_roulette(weights, rng):
+    """The hand-rolled adaptive roulette: one draw scaled by the plain sum,
+    then the first index whose running total exceeds it."""
+    total = sum(weights)
+    if total <= 0.0:
+        return 0
+    r = rng.random() * total
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return k
+    return len(weights) - 1
+
+
+def reference_most_shared_cost(costs):
+    """(cost, count) of the most repeated cost; the first seen wins ties."""
+    counts = {}
+    for c in costs:
+        counts[c] = counts.get(c, 0) + 1
+    return max(counts.items(), key=lambda kv: kv[1])

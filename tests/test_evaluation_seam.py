@@ -1,0 +1,225 @@
+"""RunTracker.evaluate is the one place a complete tour is costed, counted
+and offered; the plan, instance-line and CSV readers reject malformed input
+with a ValueError (exit 2 on the command line)."""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ._oracles import reference_most_shared_cost, reference_roulette, tour_cost
+from tsplab import (
+    CSV_HEADER,
+    SolveBudget,
+    build_distance_matrix,
+    generate_random_instance,
+    parse_plan,
+    read_csv,
+    render_instance,
+    run_experiment,
+    run_solver,
+    tour_length,
+)
+from tsplab.bench import _parse_instance_line
+from tsplab.cli import main
+from tsplab.solvers.alns import roulette
+from tsplab.solvers.base import RunTracker
+from tsplab.solvers.ga import GaParams, _refresh_duplicates
+
+INST = generate_random_instance(9, 4)
+MATRIX = build_distance_matrix(INST)
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# -- RunTracker.evaluate --------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evaluate_costs_counts_and_offers(seed):
+    rng = random.Random(seed)
+    tracker = RunTracker(SolveBudget(max_evaluations=100), seed)
+    for k in range(40):
+        tour = list(range(INST.dimension))
+        rng.shuffle(tour)
+        before = tracker.best_cost
+        cost, is_new_best = tracker.evaluate(tour, MATRIX)
+        assert tracker.evaluations == k + 1
+        assert cost == tour_length(tour, MATRIX)
+        assert cost == pytest.approx(tour_cost(tour, MATRIX), rel=1e-12)
+        assert is_new_best == (cost < before)
+        if is_new_best:
+            assert tracker.best == tour and tracker.best is not tour
+    costs = [c for _, c in tracker.trajectory]
+    assert all(a > b for a, b in zip(costs, costs[1:]))
+    assert costs[-1] == tracker.best_cost
+
+
+def test_evaluate_keeps_a_tied_tour_out():
+    tracker = RunTracker(SolveBudget(max_evaluations=10), 0)
+    tour = list(range(INST.dimension))
+    assert tracker.evaluate(tour, MATRIX)[1] is True
+    assert tracker.evaluate(tour[::-1], MATRIX) == (tracker.best_cost, False)
+    assert tracker.evaluations == 2
+    assert len(tracker.trajectory) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["christofides", "convex_hull"])
+def test_deterministic_run_reports_one_evaluation(algorithm):
+    result = run_solver(algorithm, INST, MATRIX, None, "baseline", None, 0)
+    assert result.evaluations == 1
+    assert len(result.trajectory) == 1
+    (t, cost), = result.trajectory
+    assert cost == result.best_cost
+    assert 0.0 <= t <= result.elapsed
+
+
+# -- the standard-library forms of two hand-rolled loops ------------------------
+
+_WEIGHT = st.sampled_from([0.0, 1e-300, 3.0]) | st.floats(0.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WEIGHT, min_size=2, max_size=3), st.integers(0, 2**32))
+def test_roulette_draws_as_the_reference_loop(weights, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert roulette(weights, rng) == reference_roulette(weights, ref)
+    assert rng.random() == ref.random()  # same stream position
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=12))
+def test_most_common_cost_keeps_the_first_tie(costs):
+    assert Counter(costs).most_common(1)[0] == reference_most_shared_cost(costs)
+
+
+def test_refresh_replaces_all_but_one_of_the_first_tied_cost():
+    d = MATRIX
+    pop = [list(range(9)) for _ in range(6)]
+    costs = [5.0, 5.0, 7.0, 7.0, 9.0, 1.0]
+    tracker = RunTracker(SolveBudget(max_evaluations=100), 0)
+    _refresh_duplicates(pop, costs, d, 9, GaParams(6, 0.1, 1, 0.3), random.Random(0), tracker)
+    assert tracker.evaluations == 1
+    assert costs[0] == 5.0 and costs[2:] == [7.0, 7.0, 9.0, 1.0]
+    assert costs[1] == tour_length(pop[1], d)
+
+
+# -- plan and instance lines ------------------------------------------------------
+
+BAD_PLANS = {
+    "unknown header key": ("time_scal = 0.01\n[instances]\nrandom n=5 seed=1\n",
+                           "unknown key 'time_scal'"),
+    "unknown instance key": ("[instances]\nrandom n=5 sed=4\n", "unknown key 'sed'"),
+    "missing n": ("[instances]\nrandom seed=4\n", "missing key 'n'"),
+    "missing seed": ("[instances]\nrandom n=5\n", "missing key 'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PLANS)
+def test_plan_rejects_missing_and_unknown_keys(case):
+    text, message = BAD_PLANS[case]
+    with pytest.raises(ValueError, match=message) as info:
+        parse_plan(text + "[algorithms]\nchristofides\n")
+    assert "valid: " in str(info.value)
+
+
+@pytest.mark.parametrize("case", BAD_PLANS)
+def test_bench_cli_rejects_missing_and_unknown_keys(capsys, tmp_path, case):
+    text, message = BAD_PLANS[case]
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text + "[algorithms]\nchristofides\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("random seed=3", "missing key 'n'"),
+    ("random n=6 seed=3 hi=50 high=9", "unknown key 'high'"),
+])
+def test_tune_cli_rejects_bad_instance_lines(capsys, line, message):
+    with pytest.raises(ValueError, match=message):
+        _parse_instance_line(line)
+    code, out, err = run_cli(capsys, "tune", "--algorithm", "aco", "--instances", line)
+    assert code == 2
+    assert "error: " in err and message in err
+    assert out == ""
+
+
+def test_every_documented_key_still_parses():
+    plan = parse_plan("repetitions = 3\nbase_seed = 11\ntime_scale = 0.5\n"
+                      "metric = runtime\nrounding = tsplib_nint\n"
+                      "[instances]\nrandom n=40 seed=0\nrandom n=60 seed=1 lo=0 hi=500\n"
+                      "[algorithms]\nchristofides\n")
+    assert (plan.repetitions, plan.base_seed, plan.time_scale, plan.metric, plan.rounding) == (
+        3, 11, 0.5, "runtime", "tsplib_nint")
+    assert [(s.n, s.seed, s.lo, s.hi) for s in plan.instances] == [
+        (40, 0, 0.0, 100.0), (60, 1, 0.0, 500.0)]
+    default = parse_plan("[instances]\nrandom n=5 seed=1\n[algorithms]\nchristofides\n")
+    assert (default.repetitions, default.base_seed, default.time_scale,
+            default.metric, default.rounding) == (30, 0, 1.0, "best_cost", "none")
+
+
+# -- duplicate instance names -------------------------------------------------------
+
+
+def _two_unnamed_files(tmp_path):
+    paths = []
+    for k, seed in enumerate((1, 2)):
+        text = render_instance(generate_random_instance(5, seed))
+        text = "\n".join(line for line in text.splitlines() if not line.startswith("NAME"))
+        path = tmp_path / f"city{k}.tsp"
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(path)
+    return "".join(f"file {p}\n" for p in paths)
+
+
+def test_duplicate_instance_names_are_rejected(tmp_path):
+    plan = parse_plan("repetitions = 1\n[instances]\n" + _two_unnamed_files(tmp_path)
+                      + "[algorithms]\nchristofides\n")
+    with pytest.raises(ValueError, match="share the name 'unnamed'"):
+        run_experiment(plan)
+    twice = parse_plan("[instances]\nrandom n=5 seed=1\nrandom n=5 seed=1\n"
+                       "[algorithms]\nchristofides\n")
+    with pytest.raises(ValueError, match="share the name 'rnd5-s1'"):
+        run_experiment(twice)
+
+
+def test_bench_cli_rejects_duplicate_instance_names(capsys, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("repetitions = 1\n[instances]\n" + _two_unnamed_files(tmp_path)
+                    + "[algorithms]\nchristofides\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+    assert code == 2
+    assert "error: plan instances share the name 'unnamed'" in err
+    assert out == ""
+
+
+# -- ragged CSV rows ------------------------------------------------------------------
+
+ROW = "sa,baseline,original,rnd5-s1,5,7,0,123.5,0.25,100,,ok"
+
+
+@pytest.mark.parametrize("row, fields", [(ROW.rsplit(",", 5)[0], 7), (ROW + ",extra", 13)])
+def test_read_csv_rejects_ragged_rows(row, fields):
+    text = f"{CSV_HEADER}\n{ROW}\n{row}\n"
+    with pytest.raises(ValueError, match=f"CSV line 3 has {fields} fields, expected 12"):
+        read_csv(text)
+    assert len(read_csv(f"{CSV_HEADER}\n{ROW}\n\n")) == 1
+
+
+def test_gap_cli_rejects_ragged_rows(capsys, tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"{CSV_HEADER}\n{ROW.rsplit(',', 5)[0]}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gap", "--csv", str(path))
+    assert code == 2
+    assert "error: CSV line 2 has 7 fields, expected 12" in err
+    assert out == ""
