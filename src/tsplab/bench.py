@@ -16,6 +16,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from statistics import median
 
 from .errors import ZeroBaseline
 from .instances import Instance, build_distance_matrix, generate_random_instance, parse_instance
@@ -154,10 +155,12 @@ def parse_plan(text: str) -> ExperimentPlan:
                 raise ValueError(f"unknown plan section [{section}]")
             continue
         if section is None:
-            key, _, value = line.partition("=")
-            if not _:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
                 raise ValueError(f"expected key = value before sections, got {line!r}")
-            header[key.strip()] = value.strip()
+            if key in header:
+                raise ValueError(f"plan header: repeated key {key!r}")
+            header[key] = value
         elif section == "instances":
             instances.append(_parse_instance_line(line))
         else:
@@ -180,9 +183,12 @@ def _parse_kv(tokens: list[str], context: str) -> dict[str, str]:
     out = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"expected key=value in {context}, got {tok!r}")
-        out[key.strip()] = value
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in {context}")
+        out[key] = value
     return out
 
 
@@ -325,24 +331,16 @@ def read_csv(text: str) -> list[RunRecord]:
     return records
 
 
-def _median(sorted_values: list[float]) -> float:
-    n = len(sorted_values)
-    mid = n // 2
-    if n % 2 == 1:
-        return sorted_values[mid]
-    return (sorted_values[mid - 1] + sorted_values[mid]) / 2.0
-
-
 def order_statistics(values: list[float]) -> tuple[float, float, float, float, float]:
     """(min, q1, median, q3, max) with quartiles as medians of the halves,
     excluding the middle element when the count is odd."""
     s = sorted(values)
     n = len(s)
-    med = _median(s)
+    med = median(s)
     if n == 1:
         return s[0], med, med, med, s[-1]
-    q1 = _median(s[: n // 2])
-    q3 = _median(s[(n + 1) // 2 :])
+    q1 = median(s[: n // 2])
+    q3 = median(s[(n + 1) // 2 :])
     return s[0], q1, med, q3, s[-1]
 
 

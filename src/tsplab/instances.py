@@ -208,6 +208,8 @@ def generate_random_instance(
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     lo, hi = coord_range
+    if not np.isfinite(hi - lo):  # NaN, an infinite bound, or a span that overflows
+        raise ValueError(f"coordinate range must be finite, got {coord_range}")
     if lo > hi:
         raise ValueError(f"empty coordinate range: {coord_range}")
     rng = np.random.default_rng(seed)

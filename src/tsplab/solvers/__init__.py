@@ -74,24 +74,28 @@ def resolve_config(
 ) -> tuple[str, dict]:
     """(config_id, values) of one run: a named preset column, inline values
     ("custom", each converted to float), or else the original preset of a
-    tunable solver ("original") and no values for the others ("default")."""
+    tunable solver ("original") and no values for the others ("default").
+    Values the params bundle rejects raise ValueError here, before any run."""
     spec = get_algorithm(algorithm)
     if variant not in spec.variants:
         raise ValueError(f"{algorithm} has no variant {variant!r}")
     if preset is not None and values:
         raise ValueError(f"give either preset= or inline values for {algorithm}, not both")
     if preset is not None:
-        return preset, dict(spec.preset(preset).values)
-    if values:
+        config_id, values = preset, dict(spec.preset(preset).values)
+    elif values:
         known = spec.field_types
         unknown = ", ".join(repr(k) for k in values if k not in known)
         if unknown:
             raise UnknownParameter(f"{algorithm} has no parameter {unknown}; "
                                    f"valid: {', '.join(known) or 'none'}")
-        return "custom", {k: float(v) for k, v in values.items()}
-    if spec.tunable:
-        return "original", dict(spec.preset("original").values)
-    return "default", {}
+        config_id, values = "custom", {k: float(v) for k, v in values.items()}
+    elif spec.tunable:
+        config_id, values = "original", dict(spec.preset("original").values)
+    else:
+        config_id, values = "default", {}
+    spec.make_params(values)
+    return config_id, values
 
 
 def run_solver(

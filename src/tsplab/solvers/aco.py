@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..tours import roulette
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 _TINY = 1e-12
@@ -88,12 +89,8 @@ def _construct(weight, n, rng) -> list[int]:
     tour = [start]
     while unvisited:
         weights = weight[tour[-1]].compress(free)  # ascending city order, like unvisited
-        total = float(weights.sum())
-        if not 0.0 < total < np.inf:
-            k = 0  # lowest index fallback on degenerate weights
-        else:
-            k = int(weights.cumsum().searchsorted(rng.random() * total, side="right"))
-        nxt = unvisited.pop(min(k, len(unvisited) - 1))
+        # The pairwise numpy sum, not cum[-1]; 0 (lowest index) when degenerate.
+        nxt = unvisited.pop(roulette(weights.cumsum(), rng, float(weights.sum())))
         free[nxt] = False
         tour.append(nxt)
     return tour

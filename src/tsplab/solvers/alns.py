@@ -18,10 +18,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..tours import cheapest_insertion, nearest_neighbor_tour
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
-
-_SCORES = (3.0, 1.0, 0.0)  # new global best, accepted, rejected
+from ..tours import cheapest_insertion, nearest_neighbor_tour, roulette
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
 
 DESTROY_OPERATORS = ("random_removal", "worst_contribution_removal")
 
@@ -38,14 +36,6 @@ class AlnsParams:
             raise ValueError(f"reaction_factor must be in (0,1), got {self.reaction_factor}")
 
 
-def update_weights(weights: list[float], used: int, score: float, reaction: float) -> list[float]:
-    """One adaptive-roulette refresh; the unused operator earns score 0."""
-    return [
-        (1.0 - reaction) * w + reaction * (score if k == used else 0.0)
-        for k, w in enumerate(weights)
-    ]
-
-
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     n = len(d)
     matrix = np.asarray(d, dtype=float)
@@ -60,7 +50,7 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
     k_remove = min(max(1, math.ceil(p.removal_fraction * n)), n - 1)
 
     while not tracker.out_of_budget():
-        op = roulette(weights, rng)
+        op = roulette(list(accumulate(weights)), rng)
         if op == 0:
             removed = rng.sample(current, k_remove)
         else:
@@ -72,8 +62,7 @@ def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
         accepted = cost <= current_cost
         if accepted:
             current, current_cost = candidate, cost
-        score = _SCORES[0] if is_best else (_SCORES[1] if accepted else _SCORES[2])
-        weights = update_weights(weights, op, score, p.reaction_factor)
+        weights = update_weights(weights, op, operator_score(is_best, accepted), p.reaction_factor)
     return tracker.result()
 
 
@@ -86,12 +75,6 @@ SPEC = SolverSpec(
         "reaction_factor": ((0.01, 0.3), (0.27, 0.25, 0.04, 0.2, 0.27, 0.02)),
     },
 )
-
-
-def roulette(weights: list[float], rng) -> int:
-    """Index drawn with probability proportional to its weight; 0 when all are zero."""
-    cum = list(accumulate(weights))
-    return rng.choices(range(len(cum)), cum_weights=cum)[0] if cum[-1] > 0.0 else 0
 
 
 def _worst_contributors(tour, dist, k) -> list[int]:

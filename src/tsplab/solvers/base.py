@@ -113,6 +113,17 @@ class RunTracker:
         )
 
 
+def operator_score(new_best: bool, improved: bool) -> float:
+    """Adaptive-operator score (Ropke & Pisinger 2006): 3 new best, 1 improved, else 0."""
+    return 3.0 if new_best else (1.0 if improved else 0.0)
+
+
+def update_weights(weights: list[float], used: int, score: float, reaction: float) -> list[float]:
+    """One adaptive-roulette refresh; the unused operators earn score 0."""
+    return [(1.0 - reaction) * w + reaction * (score if k == used else 0.0)
+            for k, w in enumerate(weights)]
+
+
 @dataclass(frozen=True)
 class ParamDef:
     name: str
@@ -185,11 +196,14 @@ class SolverSpec:
 
     def make_params(self, values: dict):
         """The params bundle: the original preset overridden by values, each
-        coerced to its field type; None for solvers that take no parameters."""
+        finite and coerced to its field type; None for solvers without params."""
         if self.params is None:
             return None
         types = self.field_types
         merged = {**self.preset("original").values, **values}
+        for k, v in merged.items():
+            if not math.isfinite(v):
+                raise ValueError(f"{self.name} parameter {k} must be finite, got {v}")
         return self.params(**{
             k: int(round(v)) if types[k] is int else float(v) for k, v in merged.items()
         })

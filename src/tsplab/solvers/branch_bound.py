@@ -133,7 +133,9 @@ def branch_and_bound(
 
 
 def _run(inst, d, params, variant, budget, seed) -> SolveResult:
-    result = branch_and_bound(d, variant, time_cap=None if budget is None else budget.time_limit)
+    # Nodes are branch and bound's work unit: the evaluation cap caps them.
+    caps = (None, None) if budget is None else (budget.max_evaluations, budget.time_limit)
+    result = branch_and_bound(d, variant, *caps)
     return replace(result, seed=seed)
 
 

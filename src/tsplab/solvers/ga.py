@@ -20,15 +20,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..tours import nearest_neighbor_tour, randbelow, two_opt
-from .alns import roulette, update_weights
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
+from ..tours import nearest_neighbor_tour, randbelow, roulette, two_opt
+from .base import RunTracker, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
 
 _TINY = 1e-12
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
 _OPERATOR_REACTION = 0.2
-_SCORE_GLOBAL_BEST = 3.0
-_SCORE_IMPROVED = 1.0
 
 GA_VARIANTS = ("baseline", "hybrid_r1")
 
@@ -81,9 +78,9 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
         while len(new_pop) < p.population_size:
             if hybrid:
                 i1, i2 = _tournament(costs, getrandbits), _tournament(costs, getrandbits)
-                op = roulette(op_weights, rng)
+                op = roulette(list(accumulate(op_weights)), rng)
             else:
-                i1, i2 = rng.choices(range(p.population_size), cum_weights=cum_weights, k=2)
+                i1, i2 = roulette(cum_weights, rng), roulette(cum_weights, rng)
                 op = 0
             parent1, parent2 = pop[i1], pop[i2]
             if op == 0:
@@ -99,9 +96,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
                 child = two_opt(child, dist, mode="stochastic", rng=rng)
             child_cost, was_best = tracker.evaluate(child, dist)
             if hybrid:
-                score = _SCORE_GLOBAL_BEST if was_best else (
-                    _SCORE_IMPROVED if child_cost < min(costs[i1], costs[i2]) else 0.0
-                )
+                score = operator_score(was_best, child_cost < min(costs[i1], costs[i2]))
                 op_weights = update_weights(op_weights, op, score, _OPERATOR_REACTION)
             new_pop.append(child)
             new_costs.append(child_cost)

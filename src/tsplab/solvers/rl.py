@@ -11,14 +11,13 @@ tracker as well so it lands in the trajectory whenever it improves.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
-from ..tours import randbelow
+from ..tours import randbelow, roulette
 from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
 
 SARSA_VARIANTS = ("baseline", "boltzmann_o1")
@@ -155,8 +154,7 @@ def _select(row, unvisited, epsilon, temperature, rng) -> tuple[int, bool]:
     """Next city from Q row `row`, and whether the pick was greedy."""
     if temperature is not None:
         probs = boltzmann_probabilities(list(map(row.__getitem__, unvisited)), temperature)
-        k = bisect_right(list(accumulate(probs.tolist())), rng.random())
-        return unvisited[min(k, len(unvisited) - 1)], False
+        return unvisited[roulette(list(accumulate(probs.tolist())), rng, 1.0)], False
     if rng.random() < epsilon:
         return unvisited[randbelow(rng.getrandbits, len(unvisited))], False
     return _greedy(row, unvisited), True

@@ -9,6 +9,7 @@ lowest index so seeded runs reproduce exactly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,16 @@ def randbelow(getrandbits, n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def roulette(cum, rng, total: float | None = None) -> int:
+    """The first k with rng.random() * total < cum[k] (cum: running sums of
+    weights), clamped to the last index. total=None means cum[-1], which draws
+    as rng.choices(cum_weights=cum); a total outside (0, inf) gives 0, no draw."""
+    total = cum[-1] if total is None else total
+    if not 0.0 < total < np.inf:
+        return 0
+    return bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
 
 
 def reversal_delta(order, d, i: int, j: int) -> float:

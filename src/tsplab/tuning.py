@@ -13,6 +13,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .bench import time_limit_for
 from .errors import BudgetTooSmall
@@ -116,17 +117,11 @@ def race(
 
 def _ranked(round_costs: list[tuple[float, int]]):
     """Competition ranks with ties averaged."""
-    ordered = sorted(round_costs)
     out = []
-    pos = 0
-    while pos < len(ordered):
-        end = pos
-        while end + 1 < len(ordered) and ordered[end + 1][0] == ordered[pos][0]:
-            end += 1
-        avg_rank = (pos + end) / 2.0 + 1.0
-        for k in range(pos, end + 1):
-            out.append((avg_rank, ordered[k][1]))
-        pos = end + 1
+    for _, group in groupby(sorted(round_costs), key=lambda ci: ci[0]):
+        ids = [i for _, i in group]
+        avg_rank = len(out) + (len(ids) + 1) / 2.0  # mean of ranks len(out)+1 .. len(out)+len(ids)
+        out += [(avg_rank, i) for i in ids]
     return out
 
 

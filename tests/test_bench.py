@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsplab import (
+    ALGORITHMS,
     CSV_HEADER,
     AlgorithmSpec,
     ExperimentPlan,
@@ -348,11 +349,17 @@ class TestRunExperiment:
         assert {s["algorithm"] for s in report["summary"]} == {"tabu", "christofides"}
         json.dumps(report)  # must be serializable as-is
 
-    def test_failed_rows_recorded_not_raised(self):
+    def test_failed_rows_recorded_not_raised(self, monkeypatch):
+        # The run itself fails; bad parameter values never get this far, as
+        # parse_plan rejects them.
+        def crash(inst, d, params, variant, budget, seed):
+            raise RuntimeError("solver crashed mid-run")
+
+        monkeypatch.setitem(ALGORITHMS, "tabu", dataclasses.replace(ALGORITHMS["tabu"], run=crash))
         plan = parse_plan(
             "repetitions = 1\ntime_scale = 0.05\n"
             "[instances]\nrandom n=5 seed=3\n"
-            "[algorithms]\ntabu tenure=-5\n"
+            "[algorithms]\ntabu\n"
         )
         records = run_experiment(plan)
         assert len(records) == 1

@@ -3,10 +3,14 @@ import statistics
 import pytest
 
 from tsplab import (
+    SolveBudget,
     bound_cache,
     branch_and_bound,
+    build_distance_matrix,
     nearest_neighbor_tour,
+    generate_random_instance,
     root_lower_bound,
+    run_solver,
     tour_length,
     validate_tour,
 )
@@ -122,3 +126,17 @@ def test_enhanced_usually_expands_fewer_nodes():
         wins.append(enh.nodes_expanded <= base.nodes_expanded)
     assert sum(wins) >= 6
     assert statistics.median(enhanced_nodes) < statistics.median(baseline_nodes)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "enhanced_r1"])
+def test_run_solver_caps_nodes_at_the_evaluation_cap(variant):
+    # Nodes are branch and bound's work unit, so an evaluation-capped run
+    # expands exactly as far as branch_and_bound(node_cap=K) and reproduces.
+    inst = generate_random_instance(12, 3)
+    d = build_distance_matrix(inst)
+    budget = SolveBudget(time_limit=60.0, max_evaluations=200)
+    got = run_solver("branch_and_bound", inst, d, None, variant, budget, 7)
+    want = branch_and_bound(d, variant, node_cap=200)
+    assert (got.best, got.nodes_expanded, got.proven_optimal) == (
+        want.best, want.nodes_expanded, False)
+    assert got.best_cost == want.best_cost

@@ -58,6 +58,14 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("bounds", [("--lo", "nan"), ("--hi", "inf"), ("--lo=-inf",),
+                                        ("--lo=-1e308", "--hi=1e308")])
+    def test_non_finite_range_is_data_error(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "gen", "--n", "5", "--seed", "0", *bounds)
+        assert code == 2
+        assert "error: coordinate range must be finite" in err
+        assert out == ""
+
 
 class TestSolve:
     def test_triangle_json(self, capsys, triangle_file):
@@ -130,6 +138,27 @@ class TestSolve:
                                  "--algorithm", algorithm, "--config", config)
         assert code == 2
         assert "error:" in err and "no parameter" in err
+        assert out == ""
+
+    def test_repeated_config_key_is_data_error(self, capsys, triangle_file):
+        code, out, err = run_cli(capsys, "solve", "--instance", triangle_file,
+                                 "--algorithm", "aco", "--config", "ants=2,ants=3")
+        assert code == 2
+        assert "error: repeated key 'ants' in --config" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("algorithm,config,message", [
+        ("ga", "population_size=1e400", "ga parameter population_size must be finite"),
+        ("sa", "t_start=inf", "sa parameter t_start must be finite"),
+        ("aco", "alpha=nan", "aco parameter alpha must be finite"),
+        ("tabu", "tenure=0", "tenure must be >= 1"),
+    ])
+    def test_bad_parameter_value_is_data_error(self, capsys, triangle_file, algorithm, config,
+                                               message):
+        code, out, err = run_cli(capsys, "solve", "--instance", triangle_file,
+                                 "--algorithm", algorithm, "--config", config)
+        assert code == 2
+        assert f"error: {message}" in err
         assert out == ""
 
     @pytest.mark.parametrize("algorithm", ["branch_and_bound", "christofides",

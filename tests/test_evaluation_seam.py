@@ -4,6 +4,7 @@ with a ValueError (exit 2 on the command line)."""
 
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,9 @@ from tsplab import (
 )
 from tsplab.bench import _parse_instance_line
 from tsplab.cli import main
-from tsplab.solvers.alns import roulette
 from tsplab.solvers.base import RunTracker
 from tsplab.solvers.ga import GaParams, _refresh_duplicates
+from tsplab.tours import roulette
 
 INST = generate_random_instance(9, 4)
 MATRIX = build_distance_matrix(INST)
@@ -90,7 +91,7 @@ _WEIGHT = st.sampled_from([0.0, 1e-300, 3.0]) | st.floats(0.0, 3.0)
 def test_roulette_draws_as_the_reference_loop(weights, seed):
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(5):
-        assert roulette(weights, rng) == reference_roulette(weights, ref)
+        assert roulette(list(accumulate(weights)), rng) == reference_roulette(weights, ref)
     assert rng.random() == ref.random()  # same stream position
 
 
@@ -152,6 +153,58 @@ def test_tune_cli_rejects_bad_instance_lines(capsys, line, message):
     assert code == 2
     assert "error: " in err and message in err
     assert out == ""
+
+
+_QUICK = "repetitions = 1\ntime_scale = 0.05\n"
+_PLAN_TAIL = "[instances]\nrandom n=5 seed=1\n[algorithms]\nchristofides\n"
+
+REPEATED_KEYS = {
+    "header": (_QUICK + "time_scale = 0.1\n" + _PLAN_TAIL, "repeated key 'time_scale'"),
+    "instance line": (_QUICK + "[instances]\nrandom n=5 n=6 seed=1\n[algorithms]\nchristofides\n",
+                      "repeated key 'n'"),
+    "algorithm line": (_QUICK + _PLAN_TAIL + "aco ants=2 ants=3\n", "repeated key 'ants'"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_KEYS)
+def test_plan_rejects_repeated_keys(capsys, tmp_path, case):
+    text, message = REPEATED_KEYS[case]
+    with pytest.raises(ValueError, match=message):
+        parse_plan(text)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+
+
+def test_tune_cli_rejects_a_repeated_instance_key(capsys):
+    code, out, err = run_cli(capsys, "tune", "--algorithm", "aco", "--budget", "4",
+                             "--candidates", "2", "--time-scale", "0.05",
+                             "--instances", "random n=5 seed=1 seed=2")
+    assert code == 2
+    assert "error: " in err and "repeated key 'seed'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tabu tenure=0", "tenure must be >= 1"),
+    ("aco ants=0", "ants must be >= 1"),
+    ("sa t_start=1 t_final=2", "t_start > t_final"),
+    ("ga population_size=1e400", "ga parameter population_size must be finite"),
+    ("alns reaction_factor=nan", "alns parameter reaction_factor must be finite"),
+])
+def test_bad_parameter_values_stop_the_plan_before_any_run(capsys, tmp_path, line, message):
+    text = _QUICK + _PLAN_TAIL + line + "\n"
+    with pytest.raises(ValueError, match=message):
+        parse_plan(text)
+    plan, rows = tmp_path / "plan.txt", tmp_path / "rows.csv"
+    plan.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan), "--out-csv", str(rows))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == "" and not rows.exists()
 
 
 def test_every_documented_key_still_parses():

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tsplab import (
     validate_tour,
 )
 from tsplab.instances import Instance, build_distance_matrix
-from tsplab.tours import randbelow
+from tsplab.tours import randbelow, roulette
 
 from ._oracles import has_improving_two_opt, reference_cheapest_insertion, tour_cost
 from .conftest import random_matrix
@@ -236,3 +237,38 @@ def test_reversal_pair_draws_as_randrange(seed, n):
 def test_randbelow_rejects_an_empty_range(n):
     with pytest.raises(ValueError, match="empty range"):
         randbelow(random.Random(0).getrandbits, n)
+
+
+# --- roulette: random.choices(cum_weights=...) as one shared draw -------------
+
+_WEIGHT = st.sampled_from([0.0, 1e-300, 2.5]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WEIGHT, min_size=1, max_size=40), st.integers(0, 2**32))
+def test_roulette_draws_as_choices(weights, seed):
+    cum = list(accumulate(weights))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        if cum[-1] > 0.0:
+            expected = theirs.choices(range(len(cum)), cum_weights=cum)[0]
+        else:
+            expected = 0  # choices raises here; roulette returns 0 without a draw
+        assert roulette(cum, ours) == expected
+    assert ours.random() == theirs.random()  # same stream position
+
+
+@pytest.mark.parametrize("cum, total", [
+    ([0.0, 0.0], None), ([1.0, 2.0], 0.0), ([1.0, 2.0], -1.0),
+    ([1.0, float("inf")], None), ([1.0, 2.0], float("nan")), ([float("nan")], None),
+])
+def test_roulette_degenerate_total_returns_0_without_a_draw(cum, total):
+    ours, theirs = random.Random(5), random.Random(5)
+    assert roulette(cum, ours, total) == 0
+    assert ours.random() == theirs.random()
+
+
+def test_roulette_clamps_to_the_last_index():
+    # A total above cum[-1] can put the draw past every running sum.
+    rng = random.Random(0)
+    assert {roulette([0.0, 0.0, 1.0], rng, 10.0) for _ in range(50)} == {2}
