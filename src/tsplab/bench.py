@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from statistics import median
 
@@ -245,6 +246,46 @@ def expand_plan(plan: ExperimentPlan, names: list[str], sizes: list[int]) -> lis
     return specs
 
 
+def run_order(specs: list[RunSpec]) -> list[int]:
+    """Plan positions of the runs in the order they start: longest time
+    limit first, runs with equal limits in plan order."""
+    return sorted(range(len(specs)), key=lambda i: -specs[i].time_limit)
+
+
+# A worker process's plan, set once by _init_worker: the (plan position,
+# run) pairs in run_order, the instances, the matrices and the draw of the
+# next run to start.
+_WORKER_PLAN: tuple | None = None
+
+
+def _init_worker(runs: list[tuple[int, RunSpec]], instances: list[Instance], matrices: list,
+                 started) -> None:
+    global _WORKER_PLAN
+
+    def take() -> int:
+        with started.get_lock():
+            started.value += 1
+            return started.value - 1
+
+    _WORKER_PLAN = (runs, instances, matrices, take)
+
+
+def _worker_drain() -> list[tuple[int, RunRecord]]:
+    return _drain(*_WORKER_PLAN)
+
+
+def _drain(runs: list[tuple[int, RunSpec]], instances: list[Instance], matrices: list,
+          take) -> list[tuple[int, RunRecord]]:
+    """Start runs one at a time, runs[take()], until take() passes the end;
+    returns (plan position, record) for each run taken."""
+    done = []
+    while (k := take()) < len(runs):
+        pos, spec = runs[k]
+        done.append((pos, _execute_spec(spec, instances[spec.instance_index],
+                                        matrices[spec.instance_index])))
+    return done
+
+
 def _execute_spec(spec: RunSpec, inst: Instance, matrix) -> RunRecord:
     algo = spec.algo
     shared = dict(algorithm=algo.algorithm, variant=algo.variant, config_id=algo.config_id,
@@ -263,7 +304,13 @@ def _execute_spec(spec: RunSpec, inst: Instance, matrix) -> RunRecord:
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
-    """Execute every run of the plan; failures become failed rows, not aborts."""
+    """Execute every run of the plan; failures become failed rows, not aborts.
+
+    Each worker process receives the runs, instances and matrices once, then
+    starts one run at a time, the next in run_order that no worker has
+    taken, until none is left; workers=1 drains the same order in this
+    process. Rows do not depend on workers, except elapsed_s and what a run
+    that stops on the clock finds in its time."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     resolved = [spec.resolve() for spec in plan.instances]
@@ -275,13 +322,17 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
                          "each instance needs its own NAME")
     sizes = [inst.dimension for inst in resolved]
     specs = expand_plan(plan, names, sizes)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        records = list((map if pool is None else pool.map)(
-            _execute_spec,
-            specs,
-            (resolved[s.instance_index] for s in specs),
-            (matrices[s.instance_index] for s in specs),
-        ))
+    runs = [(pos, specs[pos]) for pos in run_order(specs)]
+    if workers == 1:
+        done = [_drain(runs, resolved, matrices, itertools.count().__next__)]
+    else:
+        started = multiprocessing.Value("q", 0)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(runs, resolved, matrices, started)) as pool:
+            done = [f.result() for f in [pool.submit(_worker_drain) for _ in range(workers)]]
+    records = [None] * len(specs)
+    for pos, row in itertools.chain.from_iterable(done):
+        records[pos] = row
     records.sort(key=lambda r: (r.algorithm, r.variant, r.config_id, r.instance, r.rep))
     return records
 

@@ -76,6 +76,12 @@ def resolve_config(
     ("custom", each converted to float), or else the original preset of a
     tunable solver ("original") and no values for the others ("default").
     Values the params bundle rejects raise ValueError here, before any run."""
+    config_id, values, _ = _resolve(algorithm, variant, preset, values)
+    return config_id, values
+
+
+def _resolve(algorithm: str, variant: str, preset: str | None, values: dict | None):
+    """resolve_config's (config_id, values) plus the params bundle built from them."""
     spec = get_algorithm(algorithm)
     if variant not in spec.variants:
         raise ValueError(f"{algorithm} has no variant {variant!r}")
@@ -94,8 +100,7 @@ def resolve_config(
         config_id, values = "original", dict(spec.preset("original").values)
     else:
         config_id, values = "default", {}
-    spec.make_params(values)
-    return config_id, values
+    return config_id, values, spec.make_params(values)
 
 
 def run_solver(
@@ -116,10 +121,10 @@ def run_solver(
     result carries the re-costed best_cost.
     """
     spec = get_algorithm(algorithm)
-    _, values = resolve_config(algorithm, variant, values=values)
+    _, _, params = _resolve(algorithm, variant, None, values)
     if spec.kind == "stochastic" and budget is None:
         raise ValueError(f"{algorithm} needs a budget")
-    result = spec.run(inst, matrix, spec.make_params(values), variant, budget, seed)
+    result = spec.run(inst, matrix, params, variant, budget, seed)
     check = validate_tour(result.best, inst.dimension)
     if not check.ok:
         raise InvalidTour(f"{algorithm} returned an invalid tour: {check.problem}")

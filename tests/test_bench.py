@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import statistics
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,12 @@ from tsplab import (
     ExperimentPlan,
     InstanceSpec,
     RunRecord,
+    RunSpec,
     SolveBudget,
     UnknownAlgorithm,
     UnknownParameter,
     ZeroBaseline,
+    build_distance_matrix,
     compute_gap,
     expand_plan,
     gap_table,
@@ -30,6 +34,8 @@ from tsplab import (
     time_limit_for,
     write_csv,
 )
+from tsplab import bench
+from tsplab.bench import run_order
 
 PLAN_TEXT = """\
 # toy experiment
@@ -380,6 +386,113 @@ class TestRunExperiment:
         assert row.status == "timeout_with_result"
         assert row.best_cost is not None
         assert row.nodes_expanded > 0
+
+
+class TestRunOrder:
+    @given(st.lists(st.integers(1, 60), max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_longest_limit_first_ties_in_plan_order(self, limits):
+        specs = [RunSpec(AlgorithmSpec("sa"), instance_index=i, rep=0, seed=i, time_limit=lim)
+                 for i, lim in enumerate(limits)]
+        order = run_order(specs)
+        assert sorted(order) == list(range(len(limits)))  # every run exactly once
+        assert [limits[i] for i in order] == sorted(limits, reverse=True)
+        for a, b in zip(order, order[1:]):
+            assert limits[a] > limits[b] or a < b
+
+    def test_example(self):
+        specs = [RunSpec(AlgorithmSpec("sa"), instance_index=0, rep=0, seed=0, time_limit=lim)
+                 for lim in (1, 3, 1, 2, 1, 3)]
+        assert run_order(specs) == [1, 5, 3, 0, 2, 4]
+
+
+# Six cities with integer distances in the EXPLICIT FULL_MATRIX layout;
+# convex_hull needs coordinates and fails on it.
+EXPLICIT6 = """NAME : ex6
+TYPE : TSP
+DIMENSION : 6
+EDGE_WEIGHT_TYPE : EXPLICIT
+EDGE_WEIGHT_FORMAT : FULL_MATRIX
+EDGE_WEIGHT_SECTION
+0 3 4 2 7 5
+3 0 4 6 3 4
+4 4 0 5 8 3
+2 6 5 0 6 5
+7 3 8 6 0 4
+5 4 3 5 4 0
+EOF
+"""
+
+
+class TestRunExperimentWorkers:
+    @pytest.fixture
+    def mixed_plan(self, tmp_path):
+        path = tmp_path / "ex6.tsp"
+        path.write_text(EXPLICIT6, encoding="utf-8")
+        # limits: 2 s at n=20 and 1 s at n=6, so the n=20 runs start first
+        return parse_plan(
+            "repetitions = 2\nbase_seed = 5\ntime_scale = 0.1\n"
+            f"[instances]\nrandom n=20 seed=1\nfile {path}\n"
+            "[algorithms]\nconvex_hull\nchristofides\nqlearning episodes=3\n"
+        )
+
+    def test_two_workers_match_one(self, mixed_plan):
+        serial = run_experiment(mixed_plan, workers=1)
+        parallel = run_experiment(mixed_plan, workers=2)
+
+        def strip(r):
+            return dataclasses.replace(r, elapsed_s=0.0)
+
+        assert [strip(r) for r in parallel] == [strip(r) for r in serial]
+        assert len(serial) == 8
+        failed = [(r.algorithm, r.instance) for r in serial if r.status == "failed"]
+        assert failed == [("convex_hull", "ex6")]
+        assert all(r.status == "ok" for r in serial if r.status != "failed")
+
+    def test_a_failed_run_does_not_stop_the_drain(self, mixed_plan):
+        inst = [spec.resolve() for spec in mixed_plan.instances]
+        specs = expand_plan(mixed_plan, [i.name for i in inst], [i.dimension for i in inst])
+        runs = [(pos, specs[pos]) for pos in run_order(specs)]
+        matrices = [build_distance_matrix(i, mixed_plan.rounding) for i in inst]
+        done = bench._drain(runs, inst, matrices, itertools.count().__next__)
+        assert [pos for pos, _ in done] == [pos for pos, _ in runs]
+        rows = [(r.algorithm, r.instance, r.status) for _, r in done]
+        failed = rows.index(("convex_hull", "ex6", "failed"))
+        assert rows[failed + 1:] and all(s == "ok" for _, _, s in rows[failed + 1:])
+
+    @pytest.mark.parametrize("workers,reverse", [(1, False), (2, False), (1, True)])
+    def test_rows_that_tie_keep_plan_order(self, monkeypatch, workers, reverse):
+        # Both lines are qlearning/baseline/custom, so their rows tie on the
+        # sort key; the n=30 runs (2 s limit) start before the n=5 ones.
+        if reverse:  # as if the rows came back in the reverse of run order
+            drain = bench._drain
+            monkeypatch.setattr(bench, "_drain", lambda runs, inst, mats, take: drain(
+                runs, inst, mats, iter([*reversed(range(len(runs))), len(runs)]).__next__))
+        plan = parse_plan(
+            "repetitions = 2\ntime_scale = 0.05\n"
+            "[instances]\nrandom n=5 seed=1\nrandom n=30 seed=2\n"
+            "[algorithms]\nqlearning episodes=3\nqlearning episodes=2\n"
+        )
+        records = run_experiment(plan, workers=workers)
+        assert [(r.instance, r.rep) for r in records] == [
+            (name, rep) for name in ("rnd30-s2", "rnd5-s1") for rep in (0, 1) for _ in (3, 2)]
+        assert [r.evaluations for r in records[::2]] == [records[1].evaluations + 1] * 4
+        assert [r.evaluations for r in records[1::2]] == [records[1].evaluations] * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_matrix_outlives_the_call(self, mixed_plan, monkeypatch, workers):
+        build_distance_matrix = bench.build_distance_matrix
+        built = []
+
+        def build(inst, rounding):
+            matrix = build_distance_matrix(inst, rounding)
+            built.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(bench, "build_distance_matrix", build)
+        records = run_experiment(mixed_plan, workers=workers)
+        assert len(records) == 8 and len(built) == 2
+        assert [ref() for ref in built] == [None, None]
 
 
 def test_read_csv_rejects_foreign_header():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tsplab
-from tsplab import ALGORITHMS, RunRecord, parse_plan, preset, write_csv
+from tsplab import ALGORITHMS, RunRecord, parse_instance, parse_plan, preset, write_csv
 from tsplab.cli import main
 
 TRIANGLE = """NAME : tri345
@@ -65,6 +65,20 @@ class TestGen:
         assert code == 2
         assert "error: coordinate range must be finite" in err
         assert out == ""
+
+    def test_negative_exponent_bound_needs_equals_form(self, capsys):
+        # argparse reads "-1e3" after a space as a flag, not as --lo's value
+        code, _, err = run_cli(capsys, "gen", "--n", "3", "--seed", "0", "--lo", "-1e3",
+                               "--hi", "5")
+        assert code == 1
+        assert "argument --lo: expected one argument" in err
+        code, out, _ = run_cli(capsys, "gen", "--n", "3", "--seed", "0", "--lo=-1e3",
+                               "--hi", "5")
+        assert code == 0
+        inst = parse_instance(out)
+        assert inst.dimension == 3
+        assert all(-1e3 <= c <= 5 for xy in inst.coords for c in xy)
+        assert min(c for xy in inst.coords for c in xy) < -100
 
 
 class TestSolve:

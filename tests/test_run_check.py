@@ -9,6 +9,8 @@ from tsplab import (
     InvalidTour,
     SolveBudget,
     SolveResult,
+    SolverSpec,
+    UnknownParameter,
     build_distance_matrix,
     generate_random_instance,
     parse_plan,
@@ -86,3 +88,35 @@ def test_cost_within_tolerance_is_re_costed(monkeypatch):
     d = build_distance_matrix(INST)
     out = run_solver("tabu", INST, d, None, "baseline", SolveBudget(time_limit=1.0), 0)
     assert out.best_cost == tour_length(list(range(INST.dimension)), d)
+
+
+@pytest.mark.parametrize("algorithm,variant,values,error,match", [
+    ("tabu", "enhanced_r1", None, ValueError, "tabu has no variant 'enhanced_r1'"),
+    ("tabu", "baseline", {"tenur": 9}, UnknownParameter, "tabu has no parameter 'tenur'"),
+    ("sa", "baseline", {"t_start": float("inf")}, ValueError, "t_start must be finite"),
+    ("tabu", "baseline", {"tenure": 0}, ValueError, "tenure must be >= 1"),
+])
+def test_run_solver_rejects_bad_config_before_running(monkeypatch, algorithm, variant, values,
+                                                      error, match):
+    def never(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setitem(ALGORITHMS, algorithm,
+                        dataclasses.replace(ALGORITHMS[algorithm], run=never))
+    d = build_distance_matrix(INST)
+    with pytest.raises(error, match=match):
+        run_solver(algorithm, INST, d, values, variant, SolveBudget(time_limit=1.0), 0)
+
+
+def test_run_solver_builds_the_params_bundle_once(monkeypatch):
+    original = SolverSpec.make_params
+    builds = []
+
+    def make_params(self, values):
+        builds.append(values)
+        return original(self, values)
+
+    monkeypatch.setattr(SolverSpec, "make_params", make_params)
+    d = build_distance_matrix(INST)
+    run_solver("sarsa", INST, d, {"episodes": 2}, "baseline", SolveBudget(time_limit=1.0), 0)
+    assert len(builds) == 1
