@@ -89,6 +89,11 @@ class ExperimentPlan:
             raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
         if self.metric not in ("best_cost", "runtime"):
             raise ValueError(f"metric must be best_cost or runtime, got {self.metric!r}")
+        pairs = Counter((a.algorithm, a.variant) for a in self.algorithms)
+        repeated = ", ".join(repr(pair) for pair, count in pairs.items() if count > 1)
+        if repeated:
+            raise ValueError(f"plan names (algorithm, variant) {repeated} more than once; "
+                             "seeds, summaries and gaps key runs by that pair")
 
 
 @dataclass(frozen=True)
@@ -246,19 +251,18 @@ def expand_plan(plan: ExperimentPlan, names: list[str], sizes: list[int]) -> lis
     return specs
 
 
-def run_order(specs: list[RunSpec]) -> list[int]:
-    """Plan positions of the runs in the order they start: longest time
-    limit first, runs with equal limits in plan order."""
-    return sorted(range(len(specs)), key=lambda i: -specs[i].time_limit)
+def run_order(specs: list[RunSpec]) -> list[RunSpec]:
+    """The runs in the order they start: longest time limit first, runs with
+    equal limits in plan order."""
+    return sorted(specs, key=lambda spec: -spec.time_limit)
 
 
-# A worker process's plan, set once by _init_worker: the (plan position,
-# run) pairs in run_order, the instances, the matrices and the draw of the
-# next run to start.
+# A worker process's plan, set once by _init_worker: the runs in run_order,
+# the instances, the matrices and the draw of the next run to start.
 _WORKER_PLAN: tuple | None = None
 
 
-def _init_worker(runs: list[tuple[int, RunSpec]], instances: list[Instance], matrices: list,
+def _init_worker(runs: list[RunSpec], instances: list[Instance], matrices: list,
                  started) -> None:
     global _WORKER_PLAN
 
@@ -270,19 +274,19 @@ def _init_worker(runs: list[tuple[int, RunSpec]], instances: list[Instance], mat
     _WORKER_PLAN = (runs, instances, matrices, take)
 
 
-def _worker_drain() -> list[tuple[int, RunRecord]]:
+def _worker_drain() -> list[RunRecord]:
     return _drain(*_WORKER_PLAN)
 
 
-def _drain(runs: list[tuple[int, RunSpec]], instances: list[Instance], matrices: list,
-          take) -> list[tuple[int, RunRecord]]:
+def _drain(runs: list[RunSpec], instances: list[Instance], matrices: list,
+           take) -> list[RunRecord]:
     """Start runs one at a time, runs[take()], until take() passes the end;
-    returns (plan position, record) for each run taken."""
+    returns the record of each run taken, in the order taken."""
     done = []
     while (k := take()) < len(runs):
-        pos, spec = runs[k]
-        done.append((pos, _execute_spec(spec, instances[spec.instance_index],
-                                        matrices[spec.instance_index])))
+        spec = runs[k]
+        done.append(_execute_spec(spec, instances[spec.instance_index],
+                                  matrices[spec.instance_index]))
     return done
 
 
@@ -314,26 +318,22 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     resolved = [spec.resolve() for spec in plan.instances]
-    matrices = [build_distance_matrix(inst, plan.rounding) for inst in resolved]
     names = [inst.name for inst in resolved]
     shared = sorted(name for name, count in Counter(names).items() if count > 1)
     if shared:
         raise ValueError(f"plan instances share the name {', '.join(map(repr, shared))}; "
                          "each instance needs its own NAME")
-    sizes = [inst.dimension for inst in resolved]
-    specs = expand_plan(plan, names, sizes)
-    runs = [(pos, specs[pos]) for pos in run_order(specs)]
+    matrices = [build_distance_matrix(inst, plan.rounding) for inst in resolved]
+    runs = run_order(expand_plan(plan, names, [inst.dimension for inst in resolved]))
     if workers == 1:
-        done = [_drain(runs, resolved, matrices, itertools.count().__next__)]
+        records = _drain(runs, resolved, matrices, itertools.count().__next__)
     else:
         started = multiprocessing.Value("q", 0)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(runs, resolved, matrices, started)) as pool:
-            done = [f.result() for f in [pool.submit(_worker_drain) for _ in range(workers)]]
-    records = [None] * len(specs)
-    for pos, row in itertools.chain.from_iterable(done):
-        records[pos] = row
-    records.sort(key=lambda r: (r.algorithm, r.variant, r.config_id, r.instance, r.rep))
+            futures = [pool.submit(_worker_drain) for _ in range(workers)]
+            records = [row for f in futures for row in f.result()]
+    records.sort(key=lambda r: (r.algorithm, r.variant, r.instance, r.rep))
     return records
 
 
@@ -364,6 +364,7 @@ def read_csv(text: str) -> list[RunRecord]:
     if next(reader, None) != header:
         raise ValueError("unrecognized CSV header")
     records = []
+    first_line: dict[tuple, int] = {}  # run key -> the CSV line that has it
     for row in reader:
         if not row:
             continue
@@ -379,6 +380,10 @@ def read_csv(text: str) -> list[RunRecord]:
             nodes_expanded=int(row[10]) if row[10] else None,
             status=row[11],
         ))
+        key = (row[0], row[1], row[3], records[-1].rep)
+        if first_line.setdefault(key, reader.line_num) != reader.line_num:
+            raise ValueError(f"CSV line {reader.line_num} repeats the (algorithm, variant, "
+                             f"instance, rep) {key} of line {first_line[key]}")
     return records
 
 

@@ -35,10 +35,10 @@ class AcoParams:
 
 
 def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
+    tracker = RunTracker(budget=b, seed=seed)
     n = len(d)
     dist = np.asarray(d, dtype=float)
     rng = random.Random(seed)
-    tracker = RunTracker(budget=b, seed=seed)
 
     tau = np.ones((n, n))
     weight = np.empty((n, n))

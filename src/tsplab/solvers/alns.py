@@ -37,11 +37,11 @@ class AlnsParams:
 
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
+    tracker = RunTracker(budget=b, seed=seed)
     n = len(d)
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
     rng = random.Random(seed)
-    tracker = RunTracker(budget=b, seed=seed)
 
     current = nearest_neighbor_tour(matrix, start=0)
     current_cost, _ = tracker.evaluate(current, dist)

@@ -67,8 +67,6 @@ def greedy_matching(vertices: list[int], d) -> list[tuple[int, int]]:
 def christofides(d) -> list[int]:
     """MST + greedy matching on odd-degree vertices + Euler circuit + shortcut."""
     n = len(d)
-    if n == 2:
-        return [0, 1]
     mst = minimum_spanning_tree(d)
     adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
     for u, v, _ in mst:
@@ -118,17 +116,14 @@ def convex_hull(points) -> list[int]:
     if len(points) < 3:
         raise ValueError(f"need at least 3 points, got {len(points)}")
     order = sorted(range(len(points)), key=lambda i: (points[i][0], points[i][1], i))
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and _cross(points[lower[-2]], points[lower[-1]], points[i]) <= _EPS:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and _cross(points[upper[-2]], points[upper[-1]], points[i]) <= _EPS:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
+    hull = []
+    for chain_order in (order, order[::-1]):  # lower chain, then upper chain
+        chain: list[int] = []
+        for i in chain_order:
+            while len(chain) >= 2 and _cross(points[chain[-2]], points[chain[-1]], points[i]) <= _EPS:
+                chain.pop()
+            chain.append(i)
+        hull += chain[:-1]
     if len(hull) < 3:
         raise DegenerateInput(
             "all points collinear", extremes=(order[0], order[-1])

@@ -56,12 +56,12 @@ def nn_seed_count(population_size: int) -> int:
 def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline") -> SolveResult:
     if variant not in GA_VARIANTS:
         raise ValueError(f"unknown GA variant: {variant!r}")
+    tracker = RunTracker(budget=b, seed=seed)
     n = len(d)
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
     rng = random.Random(seed)
     getrandbits = rng.getrandbits  # randbelow(getrandbits, k) draws as rng.randrange(k)
-    tracker = RunTracker(budget=b, seed=seed)
     hybrid = variant == "hybrid_r1"
 
     pop, costs = _initial_population(matrix, dist, n, p, rng, hybrid, tracker)

@@ -110,12 +110,12 @@ SARSA_SPEC = SolverSpec(
 
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
+    tracker = RunTracker(budget=b, seed=seed)
     n = len(d)
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
     scale = max(float(matrix.max()), _TINY)
     rng = random.Random(seed)
-    tracker = RunTracker(budget=b, seed=seed)
     q = [[0.0] * n for _ in range(n)]
     lr, df = p.learning_rate, p.discount
 

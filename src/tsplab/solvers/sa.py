@@ -68,12 +68,12 @@ def solve_sa(
 ) -> SolveResult:
     if variant not in SA_VARIANTS:
         raise ValueError(f"unknown SA variant: {variant!r}")
+    tracker = RunTracker(budget=b, seed=seed)
     n = len(d)
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    tracker = RunTracker(budget=b, seed=seed)
 
     if variant == "baseline":
         current = list(range(n))

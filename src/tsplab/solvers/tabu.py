@@ -42,10 +42,10 @@ def move_key(order, i: int, j: int) -> frozenset:
 
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
+    tracker = RunTracker(budget=b, seed=seed)
     n = len(d)
     matrix = np.asarray(d, dtype=float)
     dist = matrix.tolist()
-    tracker = RunTracker(budget=b, seed=seed)
 
     current = nearest_neighbor_tour(matrix, start=0)
     current_cost, _ = tracker.evaluate(current, dist)

@@ -392,18 +392,19 @@ class TestRunOrder:
     @given(st.lists(st.integers(1, 60), max_size=80))
     @settings(max_examples=300, deadline=None)
     def test_longest_limit_first_ties_in_plan_order(self, limits):
+        # each run's seed is its plan position
         specs = [RunSpec(AlgorithmSpec("sa"), instance_index=i, rep=0, seed=i, time_limit=lim)
                  for i, lim in enumerate(limits)]
-        order = run_order(specs)
+        order = [spec.seed for spec in run_order(specs)]
         assert sorted(order) == list(range(len(limits)))  # every run exactly once
         assert [limits[i] for i in order] == sorted(limits, reverse=True)
         for a, b in zip(order, order[1:]):
             assert limits[a] > limits[b] or a < b
 
     def test_example(self):
-        specs = [RunSpec(AlgorithmSpec("sa"), instance_index=0, rep=0, seed=0, time_limit=lim)
-                 for lim in (1, 3, 1, 2, 1, 3)]
-        assert run_order(specs) == [1, 5, 3, 0, 2, 4]
+        specs = [RunSpec(AlgorithmSpec("sa"), instance_index=0, rep=0, seed=i, time_limit=lim)
+                 for i, lim in enumerate((1, 3, 1, 2, 1, 3))]
+        assert [spec.seed for spec in run_order(specs)] == [1, 5, 3, 0, 2, 4]
 
 
 # Six cities with integer distances in the EXPLICIT FULL_MATRIX layout;
@@ -452,32 +453,14 @@ class TestRunExperimentWorkers:
     def test_a_failed_run_does_not_stop_the_drain(self, mixed_plan):
         inst = [spec.resolve() for spec in mixed_plan.instances]
         specs = expand_plan(mixed_plan, [i.name for i in inst], [i.dimension for i in inst])
-        runs = [(pos, specs[pos]) for pos in run_order(specs)]
+        runs = run_order(specs)
         matrices = [build_distance_matrix(i, mixed_plan.rounding) for i in inst]
         done = bench._drain(runs, inst, matrices, itertools.count().__next__)
-        assert [pos for pos, _ in done] == [pos for pos, _ in runs]
-        rows = [(r.algorithm, r.instance, r.status) for _, r in done]
+        assert [(r.algorithm, r.instance, r.rep, r.seed) for r in done] == [
+            (s.algo.algorithm, inst[s.instance_index].name, s.rep, s.seed) for s in runs]
+        rows = [(r.algorithm, r.instance, r.status) for r in done]
         failed = rows.index(("convex_hull", "ex6", "failed"))
         assert rows[failed + 1:] and all(s == "ok" for _, _, s in rows[failed + 1:])
-
-    @pytest.mark.parametrize("workers,reverse", [(1, False), (2, False), (1, True)])
-    def test_rows_that_tie_keep_plan_order(self, monkeypatch, workers, reverse):
-        # Both lines are qlearning/baseline/custom, so their rows tie on the
-        # sort key; the n=30 runs (2 s limit) start before the n=5 ones.
-        if reverse:  # as if the rows came back in the reverse of run order
-            drain = bench._drain
-            monkeypatch.setattr(bench, "_drain", lambda runs, inst, mats, take: drain(
-                runs, inst, mats, iter([*reversed(range(len(runs))), len(runs)]).__next__))
-        plan = parse_plan(
-            "repetitions = 2\ntime_scale = 0.05\n"
-            "[instances]\nrandom n=5 seed=1\nrandom n=30 seed=2\n"
-            "[algorithms]\nqlearning episodes=3\nqlearning episodes=2\n"
-        )
-        records = run_experiment(plan, workers=workers)
-        assert [(r.instance, r.rep) for r in records] == [
-            (name, rep) for name in ("rnd30-s2", "rnd5-s1") for rep in (0, 1) for _ in (3, 2)]
-        assert [r.evaluations for r in records[::2]] == [records[1].evaluations + 1] * 4
-        assert [r.evaluations for r in records[1::2]] == [records[1].evaluations] * 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_matrix_outlives_the_call(self, mixed_plan, monkeypatch, workers):

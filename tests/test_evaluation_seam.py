@@ -3,6 +3,7 @@ and offered; the plan, instance-line and CSV readers reject malformed input
 with a ValueError (exit 2 on the command line)."""
 
 import random
+import re
 from collections import Counter
 from itertools import accumulate
 
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from ._oracles import reference_most_shared_cost, reference_roulette, tour_cost
 from tsplab import (
     CSV_HEADER,
+    ExperimentPlan,
+    InstanceSpec,
     SolveBudget,
     build_distance_matrix,
     generate_random_instance,
@@ -23,7 +26,8 @@ from tsplab import (
     run_solver,
     tour_length,
 )
-from tsplab.bench import _parse_instance_line
+from tsplab import bench
+from tsplab.bench import _parse_algorithm_line, _parse_instance_line
 from tsplab.cli import main
 from tsplab.solvers.base import RunTracker
 from tsplab.solvers.ga import GaParams, _refresh_duplicates
@@ -221,6 +225,50 @@ def test_every_documented_key_still_parses():
             default.metric, default.rounding) == (30, 0, 1.0, "best_cost", "none")
 
 
+# -- one plan line per (algorithm, variant) -------------------------------------------
+
+REPEATED_PAIRS = {
+    "qlearning": (["qlearning episodes=3", "qlearning episodes=2"], "('qlearning', 'baseline')"),
+    "sa presets": (["sa preset=original", "sa preset=r1"], "('sa', 'baseline')"),
+    "christofides": (["christofides", "christofides"], "('christofides', 'baseline')"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_PAIRS)
+def test_plan_rejects_a_repeated_algorithm_variant(case):
+    lines, pair = REPEATED_PAIRS[case]
+    message = re.escape(f"(algorithm, variant) {pair} more than once")
+    with pytest.raises(ValueError, match=message):
+        parse_plan(_QUICK + "[instances]\nrandom n=5 seed=1\n[algorithms]\n"
+                   + "".join(f"{line}\n" for line in lines))
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan(instances=[InstanceSpec("random", n=5, seed=1)],
+                       algorithms=[_parse_algorithm_line(line) for line in lines])
+
+
+@pytest.mark.parametrize("case", REPEATED_PAIRS)
+def test_bench_cli_rejects_a_repeated_algorithm_variant(capsys, tmp_path, case):
+    # The instance file does not exist: the plan is refused before any
+    # instance is read.
+    lines, pair = REPEATED_PAIRS[case]
+    plan, rows, report = tmp_path / "plan.txt", tmp_path / "rows.csv", tmp_path / "report.json"
+    plan.write_text(_QUICK + f"[instances]\nfile {tmp_path / 'absent.tsp'}\n[algorithms]\n"
+                    + "".join(f"{line}\n" for line in lines), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan),
+                             "--out-csv", str(rows), "--out-json", str(report))
+    assert code == 2
+    assert err.startswith("error: ") and f"(algorithm, variant) {pair} more than once" in err
+    assert out == "" and not rows.exists() and not report.exists()
+
+
+def test_variants_of_one_algorithm_share_a_plan():
+    plan = parse_plan(_QUICK + "[instances]\nrandom n=5 seed=1\n[algorithms]\n"
+                      "sa\nsa variant=lundy_mees_r1\nsarsa\nsarsa variant=boltzmann_o1\n")
+    assert [(a.algorithm, a.variant) for a in plan.algorithms] == [
+        ("sa", "baseline"), ("sa", "lundy_mees_r1"),
+        ("sarsa", "baseline"), ("sarsa", "boltzmann_o1")]
+
+
 # -- duplicate instance names -------------------------------------------------------
 
 
@@ -235,7 +283,10 @@ def _two_unnamed_files(tmp_path):
     return "".join(f"file {p}\n" for p in paths)
 
 
-def test_duplicate_instance_names_are_rejected(tmp_path):
+def test_duplicate_instance_names_are_rejected(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(bench, "build_distance_matrix",
+                        lambda inst, rounding: built.append(inst.name))
     plan = parse_plan("repetitions = 1\n[instances]\n" + _two_unnamed_files(tmp_path)
                       + "[algorithms]\nchristofides\n")
     with pytest.raises(ValueError, match="share the name 'unnamed'"):
@@ -244,6 +295,7 @@ def test_duplicate_instance_names_are_rejected(tmp_path):
                        "[algorithms]\nchristofides\n")
     with pytest.raises(ValueError, match="share the name 'rnd5-s1'"):
         run_experiment(twice)
+    assert built == []  # the names are checked before any matrix is built
 
 
 def test_bench_cli_rejects_duplicate_instance_names(capsys, tmp_path):
@@ -275,4 +327,34 @@ def test_gap_cli_rejects_ragged_rows(capsys, tmp_path):
     code, out, err = run_cli(capsys, "gap", "--csv", str(path))
     assert code == 2
     assert "error: CSV line 2 has 7 fields, expected 12" in err
+    assert out == ""
+
+
+# -- repeated run keys in a CSV --------------------------------------------------------
+
+# Rows that an earlier tsplab wrote for a plan with the two lines
+# "qlearning episodes=3" and "qlearning episodes=2" (repetitions = 2):
+# each (algorithm, variant, instance, rep) appears twice.
+TWO_QLEARNING_LINES = f"""{CSV_HEADER}
+qlearning,baseline,custom,rnd5-s1,5,7800623035905623970,0,247.9712924423154,7.923399971332401e-05,4,,ok
+qlearning,baseline,custom,rnd5-s1,5,7800623035905623970,0,247.9712924423154,3.917200228897855e-05,3,,ok
+qlearning,baseline,custom,rnd5-s1,5,622281081424468621,1,283.10630750867955,4.7445999371120706e-05,4,,ok
+qlearning,baseline,custom,rnd5-s1,5,622281081424468621,1,283.10630750867955,2.5943001674022526e-05,3,,ok
+"""
+ONE_ROW_TWICE = f"{CSV_HEADER}\n{ROW}\n{ROW.replace(',0,123.5,', ',1,124.5,')}\n{ROW}\n"
+
+
+@pytest.mark.parametrize("text, line, first, key", [
+    (TWO_QLEARNING_LINES, 3, 2, "('qlearning', 'baseline', 'rnd5-s1', 0)"),
+    (ONE_ROW_TWICE, 4, 2, "('sa', 'baseline', 'rnd5-s1', 0)"),
+], ids=["two qlearning lines", "one row twice"])
+def test_read_csv_rejects_a_repeated_run(capsys, tmp_path, text, line, first, key):
+    message = f"CSV line {line} repeats the (algorithm, variant, instance, rep) {key} of line {first}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv(text)
+    path = tmp_path / "runs.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "gap", "--csv", str(path))
+    assert code == 2
+    assert f"error: {message}" in err
     assert out == ""

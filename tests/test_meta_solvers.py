@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +237,29 @@ def test_entry_points_read_rows_like_the_array(entry):
         return (result.best, result.best_cost, result.evaluations, result.nodes_expanded)
 
     assert outcome(_ENTRY_CALLS[entry](d.tolist())) == outcome(_ENTRY_CALLS[entry](d))
+
+
+class _SlowMatrix:
+    """A matrix-like object whose conversion to an array takes 50 ms."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __len__(self):
+        return len(self.d)
+
+    def __array__(self, dtype=None, copy=None):
+        time.sleep(0.05)
+        return np.asarray(self.d, dtype=dtype)
+
+
+@pytest.mark.parametrize("entry", ["sa", "tabu", "ga", "alns", "aco", "qlearning", "sarsa"])
+def test_clock_starts_before_the_matrix_is_read(entry):
+    # elapsed, the time budget and the trajectory times all cover the
+    # conversion of d, as they do for branch_and_bound.
+    result = _ENTRY_CALLS[entry](_SlowMatrix(PIN_MATRICES["rnd12"]()))
+    assert result.elapsed >= 0.05
+    assert result.trajectory[0][0] >= 0.05
 
 
 @st.composite
