@@ -20,12 +20,13 @@ from dataclasses import asdict, dataclass, field
 from statistics import median
 
 from .errors import ZeroBaseline
-from .instances import Instance, build_distance_matrix, generate_random_instance, parse_instance
+from .instances import ROUNDING_MODES, Instance, build_distance_matrix, generate_random_instance, parse_instance
 from .seeding import stable_hash
 from .solvers import SolveBudget, get_algorithm, resolve_config, run_solver
 
 CSV_HEADER = "algorithm,variant,config_id,instance,n,seed,rep,best_cost,elapsed_s,evaluations,nodes_expanded,status"
 
+RUN_STATUSES = ("ok", "timeout_with_result", "failed")
 _GRACE_FACTOR = 2.0  # elapsed beyond this multiple of the limit downgrades ok
 
 
@@ -89,6 +90,8 @@ class ExperimentPlan:
             raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
         if self.metric not in ("best_cost", "runtime"):
             raise ValueError(f"metric must be best_cost or runtime, got {self.metric!r}")
+        if self.rounding not in ROUNDING_MODES:
+            raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
         pairs = Counter((a.algorithm, a.variant) for a in self.algorithms)
         repeated = ", ".join(repr(pair) for pair, count in pairs.items() if count > 1)
         if repeated:
@@ -109,7 +112,7 @@ class RunRecord:
     elapsed_s: float
     evaluations: int | None
     nodes_expanded: int | None
-    status: str  # ok | timeout_with_result | failed
+    status: str  # one of RUN_STATUSES
 
 
 @dataclass(frozen=True)
@@ -341,16 +344,10 @@ def write_csv(records: list[RunRecord], path: str | None = None) -> str:
     """Serialize records; returns the CSV text (and writes it when path given)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for r in records:
-        writer.writerow([
-            r.algorithm, r.variant, r.config_id, r.instance, r.n, r.seed, r.rep,
-            "" if r.best_cost is None else repr(r.best_cost),
-            repr(r.elapsed_s),
-            "" if r.evaluations is None else r.evaluations,
-            "" if r.nodes_expanded is None else r.nodes_expanded,
-            r.status,
-        ])
+    columns = CSV_HEADER.split(",")
+    writer.writerow(columns)
+    # csv writes None as an empty cell and a float as its shortest repr.
+    writer.writerows([getattr(r, c) for c in columns] for r in records)
     text = buf.getvalue()
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -371,7 +368,7 @@ def read_csv(text: str) -> list[RunRecord]:
         if len(row) != len(header):
             raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
                              f"expected {len(header)}")
-        records.append(RunRecord(
+        r = RunRecord(
             algorithm=row[0], variant=row[1], config_id=row[2], instance=row[3],
             n=int(row[4]), seed=int(row[5]), rep=int(row[6]),
             best_cost=float(row[7]) if row[7] else None,
@@ -379,11 +376,19 @@ def read_csv(text: str) -> list[RunRecord]:
             evaluations=int(row[9]) if row[9] else None,
             nodes_expanded=int(row[10]) if row[10] else None,
             status=row[11],
-        ))
-        key = (row[0], row[1], row[3], records[-1].rep)
+        )
+        for column in ("best_cost", "elapsed_s"):  # write_csv never writes nan or inf
+            value = getattr(r, column)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"CSV line {reader.line_num} has a non-finite {column} {value!r}")
+        if r.status not in RUN_STATUSES:
+            raise ValueError(f"CSV line {reader.line_num} has status {r.status!r}; "
+                             f"expected one of {', '.join(RUN_STATUSES)}")
+        key = (row[0], row[1], row[3], r.rep)
         if first_line.setdefault(key, reader.line_num) != reader.line_num:
             raise ValueError(f"CSV line {reader.line_num} repeats the (algorithm, variant, "
                              f"instance, rep) {key} of line {first_line[key]}")
+        records.append(r)
     return records
 
 

@@ -11,6 +11,7 @@ import json
 import sys
 
 from .bench import (
+    InstanceSpec,
     gap_table,
     json_report,
     load_plan,
@@ -27,7 +28,6 @@ from .instances import (
     ROUNDING_MODES,
     build_distance_matrix,
     generate_random_instance,
-    parse_instance,
     render_instance,
 )
 from .refine import PromptTemplate, RefinementRequest, load_template, render_prompt
@@ -129,8 +129,7 @@ def _cmd_solve(args) -> int:
     _echo_config(args.seed, args.time_scale, args.rounding)
     inline = None if args.config is None else _parse_kv(args.config.split(","), "--config")
     config_id, values = resolve_config(args.algorithm, args.variant, args.preset, inline)
-    with open(args.instance, encoding="utf-8") as fh:
-        inst = parse_instance(fh.read())
+    inst = InstanceSpec(source="file", path=args.instance).resolve()
     matrix = build_distance_matrix(inst, rounding=args.rounding)
     budget = SolveBudget(
         time_limit=float(time_limit_for(inst.dimension, args.time_scale)),
@@ -231,16 +230,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help path
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

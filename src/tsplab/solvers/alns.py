@@ -16,12 +16,8 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from ..tours import cheapest_insertion, nearest_neighbor_tour, roulette
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
-
-DESTROY_OPERATORS = ("random_removal", "worst_contribution_removal")
+from .base import SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
 
 
 @dataclass(frozen=True)
@@ -37,10 +33,8 @@ class AlnsParams:
 
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker = RunTracker(budget=b, seed=seed)
-    n = len(d)
-    matrix = np.asarray(d, dtype=float)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b, seed)
+    n = len(dist)
     rng = random.Random(seed)
 
     current = nearest_neighbor_tour(matrix, start=0)

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, get_type_hints
 
+import numpy as np
+
 from ..errors import NoSuchColumn, UnknownAlgorithm
 from ..tours import tour_length
 
@@ -111,6 +113,15 @@ class RunTracker:
             seed=self.seed,
             elapsed=self.elapsed(),
         )
+
+
+def start_run(d, budget: SolveBudget, seed: int) -> tuple[RunTracker, np.ndarray, list[list[float]]]:
+    """Start the run's clock, then read d once: (tracker, float array, its rows).
+
+    elapsed, the time budget and the trajectory times all cover the read."""
+    tracker = RunTracker(budget=budget, seed=seed)
+    matrix = np.asarray(d, dtype=float)
+    return tracker, matrix, matrix.tolist()
 
 
 def operator_score(new_best: bool, improved: bool) -> float:

@@ -18,10 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from ..tours import nearest_neighbor_tour, randbelow, roulette, two_opt
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
+from .base import SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
 
 _TINY = 1e-12
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
@@ -56,10 +54,8 @@ def nn_seed_count(population_size: int) -> int:
 def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline") -> SolveResult:
     if variant not in GA_VARIANTS:
         raise ValueError(f"unknown GA variant: {variant!r}")
-    tracker = RunTracker(budget=b, seed=seed)
-    n = len(d)
-    matrix = np.asarray(d, dtype=float)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b, seed)
+    n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits  # randbelow(getrandbits, k) draws as rng.randrange(k)
     hybrid = variant == "hybrid_r1"

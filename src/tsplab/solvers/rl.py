@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
 from ..tours import randbelow, roulette
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
+from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 SARSA_VARIANTS = ("baseline", "boltzmann_o1")
 
@@ -110,10 +110,8 @@ SARSA_SPEC = SolverSpec(
 
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
-    tracker = RunTracker(budget=b, seed=seed)
-    n = len(d)
-    matrix = np.asarray(d, dtype=float)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b, seed)
+    n = len(dist)
     scale = max(float(matrix.max()), _TINY)
     rng = random.Random(seed)
     q = [[0.0] * n for _ in range(n)]

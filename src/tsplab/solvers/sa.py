@@ -16,10 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..tours import nearest_neighbor_tour, randbelow, reversal_delta, tour_length
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
+from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 SA_VARIANTS = ("baseline", "lundy_mees_r1")
 
@@ -68,10 +66,8 @@ def solve_sa(
 ) -> SolveResult:
     if variant not in SA_VARIANTS:
         raise ValueError(f"unknown SA variant: {variant!r}")
-    tracker = RunTracker(budget=b, seed=seed)
-    n = len(d)
-    matrix = np.asarray(d, dtype=float)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b, seed)
+    n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..tours import nearest_neighbor_tour, reversal_delta, tour_length
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
+from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 _EPS = 1e-12
 
@@ -42,10 +40,8 @@ def move_key(order, i: int, j: int) -> frozenset:
 
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker = RunTracker(budget=b, seed=seed)
-    n = len(d)
-    matrix = np.asarray(d, dtype=float)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b, seed)
+    n = len(dist)
 
     current = nearest_neighbor_tour(matrix, start=0)
     current_cost, _ = tracker.evaluate(current, dist)

@@ -481,3 +481,40 @@ class TestRunExperimentWorkers:
 def test_read_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         read_csv("a,b,c\n1,2,3\n")
+
+
+# Hand-built rows and the text write_csv gave for them before it left the
+# cells to the csv module: empty cells for None, a quoted instance name,
+# and each float as its shortest repr.
+PINNED_RECORDS = [
+    RunRecord("branch_and_bound", "enhanced_r1", "default", "rnd12-s3", 12, 5, 0,
+              1e16, 30.25, None, 12345, "timeout_with_result"),
+    RunRecord("ga", "baseline", "original", 'city, "north"', 40, 2**63 - 1, 1,
+              0.1 + 0.2, 1.5, 300, None, "ok"),
+    RunRecord("sa", "baseline", "original", "tiny", 3, 0, 0,
+              5e-324, 7.923399971332401e-05, 1, None, "ok"),
+    RunRecord("tabu", "baseline", "custom", "rnd5-s1", 5, 7, 2,
+              None, 0.0, None, None, "failed"),
+]
+PINNED_CSV = f"""{CSV_HEADER}
+branch_and_bound,enhanced_r1,default,rnd12-s3,12,5,0,1e+16,30.25,,12345,timeout_with_result
+ga,baseline,original,"city, ""north""\",40,9223372036854775807,1,0.30000000000000004,1.5,300,,ok
+sa,baseline,original,tiny,3,0,0,5e-324,7.923399971332401e-05,1,,ok
+tabu,baseline,custom,rnd5-s1,5,7,2,,0.0,,,failed
+"""
+
+
+def test_write_csv_text_is_pinned():
+    assert write_csv(PINNED_RECORDS) == PINNED_CSV
+    assert read_csv(PINNED_CSV) == PINNED_RECORDS
+
+
+def test_exact_repetitions_repeat_one_tour():
+    # branch_and_bound runs `repetitions` times like a stochastic solver, but
+    # its search draws no random number: the repeats sample only its run time.
+    plan = parse_plan("repetitions = 3\n[instances]\nrandom n=7 seed=2\n"
+                      "[algorithms]\nbranch_and_bound\n")
+    rows = run_experiment(plan)
+    assert [r.rep for r in rows] == [0, 1, 2] and len({r.seed for r in rows}) == 3
+    assert len({r.best_cost for r in rows}) == 1 and len({r.nodes_expanded for r in rows}) == 1
+    assert all(r.status == "ok" for r in rows)

@@ -358,3 +358,49 @@ def test_read_csv_rejects_a_repeated_run(capsys, tmp_path, text, line, first, ke
     assert code == 2
     assert f"error: {message}" in err
     assert out == ""
+
+
+# -- cells write_csv never writes --------------------------------------------------------
+
+NEVER_WRITTEN = {
+    "nan cost": (ROW.replace(",123.5,", ",nan,"), "a non-finite best_cost nan"),
+    "infinite cost": (ROW.replace(",123.5,", ",inf,"), "a non-finite best_cost inf"),
+    "nan time": (ROW.replace(",0.25,", ",nan,"), "a non-finite elapsed_s nan"),
+    "infinite time": (ROW.replace(",0.25,", ",-Infinity,"), "a non-finite elapsed_s -inf"),
+    "unknown status": (ROW.replace(",ok", ",done"),
+                       "status 'done'; expected one of ok, timeout_with_result, failed"),
+}
+
+
+@pytest.mark.parametrize("case", NEVER_WRITTEN)
+def test_read_csv_rejects_cells_write_csv_never_writes(capsys, tmp_path, case):
+    # gap would print NaN or Infinity, which is not JSON, or group an unknown status.
+    row, what = NEVER_WRITTEN[case]
+    text = f"{CSV_HEADER}\n{ROW.replace(',0,', ',1,')}\n{row}\n"
+    message = f"CSV line 3 has {what}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv(text)
+    path = tmp_path / "runs.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "gap", "--csv", str(path))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+
+
+# -- plan rounding ----------------------------------------------------------------------
+
+
+def test_plan_rejects_an_unknown_rounding(capsys, tmp_path):
+    # The instance file does not exist: the rounding is refused before any
+    # instance is read.
+    text = f"rounding = bogus\n[instances]\nfile {tmp_path / 'absent.tsp'}\n[algorithms]\nchristofides\n"
+    message = "rounding must be one of ('none', 'tsplib_nint'), got 'bogus'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_plan(text)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""

@@ -154,6 +154,16 @@ def test_sa_tabu_capped_runs_pinned(solver, instance, cap, best_cost, digest):
     assert tour_digest(result.best) == digest
 
 
+def test_tabu_ignores_its_seed():
+    # Tabu starts from the nearest-neighbour tour at city 0 and scans
+    # deterministically, so its capped runs are the same for every seed.
+    d = random_matrix(30, 5)
+    runs = [solve_tabu(d, TABU_P, SolveBudget(max_evaluations=15), seed) for seed in range(5)]
+    outcomes = {(r.best_cost, tuple(r.best), r.evaluations, tuple(c for _, c in r.trajectory))
+                for r in runs}
+    assert len(outcomes) == 1
+
+
 # Recorded at the commit before ACO read its pick weights from one n x n
 # buffer filled once per iteration and GA baseline drew parents from
 # cumulative weights built once per generation.
