@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import multiprocessing
 from collections import Counter
@@ -315,9 +314,10 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
 
     Each worker process receives the runs, instances and matrices once, then
     starts one run at a time, the next in run_order that no worker has
-    taken, until none is left; workers=1 drains the same order in this
-    process. Rows do not depend on workers, except elapsed_s and what a run
-    that stops on the clock finds in its time."""
+    taken, until none is left. No more workers start than there are runs,
+    and a single worker drains the same order in this process. Rows do not
+    depend on workers, except elapsed_s and what a run that stops on the
+    clock finds in its time."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     resolved = [spec.resolve() for spec in plan.instances]
@@ -328,7 +328,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
                          "each instance needs its own NAME")
     matrices = [build_distance_matrix(inst, plan.rounding) for inst in resolved]
     runs = run_order(expand_plan(plan, names, [inst.dimension for inst in resolved]))
-    if workers == 1:
+    workers = min(workers, len(runs))  # under fork, the pool starts every worker at once
+    if workers <= 1:
         records = _drain(runs, resolved, matrices, itertools.count().__next__)
     else:
         started = multiprocessing.Value("q", 0)
@@ -384,6 +385,10 @@ def read_csv(text: str) -> list[RunRecord]:
         if r.status not in RUN_STATUSES:
             raise ValueError(f"CSV line {reader.line_num} has status {r.status!r}; "
                              f"expected one of {', '.join(RUN_STATUSES)}")
+        if (r.best_cost is None) != (r.status == "failed"):
+            raise ValueError(f"CSV line {reader.line_num} has status {r.status!r} "
+                             f"{'without' if r.best_cost is None else 'with'} a best_cost; "
+                             "a row has a best_cost exactly when its status is not failed")
         key = (row[0], row[1], row[3], r.rep)
         if first_line.setdefault(key, reader.line_num) != reader.line_num:
             raise ValueError(f"CSV line {reader.line_num} repeats the (algorithm, variant, "
@@ -464,9 +469,3 @@ def json_report(plan: ExperimentPlan, records: list[RunRecord]) -> dict:
         "summary": [asdict(s) for s in summarize(records, metric=plan.metric)],
         "gaps": gap_table(records),
     }
-
-
-def write_json_report(plan, records, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_report(plan, records), fh, indent=2)
-        fh.write("\n")

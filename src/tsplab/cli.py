@@ -19,7 +19,6 @@ from .bench import (
     run_experiment,
     time_limit_for,
     write_csv,
-    write_json_report,
     _parse_instance_line,
     _parse_kv,
 )
@@ -164,11 +163,12 @@ def _cmd_bench(args) -> int:
     if args.out_csv is not None:
         write_csv(records, args.out_csv)
         print(f"wrote {args.out_csv}", file=sys.stderr)
+    text = json.dumps(json_report(plan, records), indent=2) + "\n"
     if args.out_json is not None:
-        write_json_report(plan, records, args.out_json)
+        with open(args.out_json, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"wrote {args.out_json}", file=sys.stderr)
-    json.dump(json_report(plan, records), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(text)
     return 0
 
 

@@ -219,27 +219,22 @@ def refinement_loop(request: RefinementRequest,
     schedule = schedule if schedule is not None else TemperatureSchedule()
     payload = render_prompt(template, request)
     feedback: str | None = None
-    outcomes: list[ValidationOutcome] = []
-    candidate: str | None = None
+    report = RefinementReport()
     for attempt in range(1, schedule.max_attempts + 1):
         temperature = next_temperature(schedule, attempt)
         try:
             candidate, verdict = evaluator(payload, temperature, feedback)
         except Exception as exc:
-            return RefinementReport(
-                outcomes=outcomes,
-                succeeded=False,
-                final_candidate=candidate,
-                evaluator_error=f"{type(exc).__name__}: {exc}",
-            )
-        outcomes.append(ValidationOutcome(verdict, attempt, temperature, feedback))
+            report.evaluator_error = f"{type(exc).__name__}: {exc}"
+            break
+        report.final_candidate = candidate
+        report.outcomes.append(ValidationOutcome(verdict, attempt, temperature, feedback))
         if verdict.kind == VALID:
-            return RefinementReport(outcomes=outcomes, succeeded=True,
-                                    final_candidate=candidate)
+            report.succeeded = True
+            break
         if verdict.kind == EXECUTION_ERROR:
             feedback = verdict.message or "execution error"
         else:
             feedback = CORRECTION_SENTENCE
         payload = candidate
-    return RefinementReport(outcomes=outcomes, succeeded=False,
-                            final_candidate=candidate)
+    return report

@@ -11,35 +11,14 @@ from ..instances import Instance
 from ..tours import tour_length, validate_tour
 from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
 from .aco import AcoParams, solve_aco
-from .alns import AlnsParams, solve_alns, update_weights
+from .alns import AlnsParams, solve_alns
 from .base import PRESET_COLUMNS, ParamConfig, ParamDef, ParamSpace, SolveBudget, SolveResult, SolverSpec
 from .branch_bound import bound_cache, branch_and_bound, root_lower_bound
 from .constructive import christofides, convex_hull, convex_hull_tour, greedy_matching, minimum_spanning_tree
 from .ga import GaParams, nn_seed_count, solve_ga
-from .rl import (
-    RlParams,
-    boltzmann_probabilities,
-    boltzmann_temperature,
-    q_update,
-    solve_qlearning,
-    solve_sarsa,
-)
+from .rl import RlParams, boltzmann_probabilities, q_update, solve_qlearning, solve_sarsa
 from .sa import SaParams, lundy_mees_beta, lundy_mees_step, metropolis_accept, solve_sa
 from .tabu import TabuParams, solve_tabu
-
-__all__ = [
-    "AcoParams", "AlnsParams", "GaParams", "RlParams", "SaParams", "TabuParams",
-    "SolveBudget", "SolveResult", "SolverSpec",
-    "PRESET_COLUMNS", "ParamConfig", "ParamDef", "ParamSpace", "SPACES",
-    "ALGORITHMS", "get_algorithm", "parameter_space", "preset", "resolve_config",
-    "run_solver",
-    "solve_aco", "solve_alns", "solve_ga", "solve_qlearning", "solve_sarsa",
-    "solve_sa", "solve_tabu", "branch_and_bound", "christofides",
-    "convex_hull", "convex_hull_tour", "minimum_spanning_tree", "greedy_matching",
-    "bound_cache", "root_lower_bound", "boltzmann_probabilities",
-    "boltzmann_temperature", "q_update", "lundy_mees_step", "lundy_mees_beta",
-    "metropolis_accept", "nn_seed_count", "update_weights",
-]
 
 ALGORITHMS: dict[str, SolverSpec] = {spec.name: spec for spec in (
     aco.SPEC, ga.SPEC, alns.SPEC, tabu.SPEC, sa.SPEC, rl.QLEARNING_SPEC, rl.SARSA_SPEC,

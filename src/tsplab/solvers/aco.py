@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import roulette
-from .base import RunTracker, SolveBudget, SolveResult, SolverSpec
+from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 _TINY = 1e-12
 
@@ -35,9 +35,8 @@ class AcoParams:
 
 
 def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker = RunTracker(budget=b, seed=seed)
+    tracker, dist, rows = start_run(d, b, seed)
     n = len(d)
-    dist = np.asarray(d, dtype=float)
     rng = random.Random(seed)
 
     tau = np.ones((n, n))
@@ -52,7 +51,7 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
         iteration_tours = []
         for _ in range(p.ants):
             tour = _construct(weight, n, rng)
-            cost, _ = tracker.evaluate(tour, dist)
+            cost, _ = tracker.evaluate(tour, rows)
             iteration_tours.append((tour, cost))
             if tracker.out_of_budget():
                 break

@@ -56,14 +56,9 @@ def tour_length(order, d) -> float:
     return float(total)
 
 
-def nearest_neighbor_tour(d, start: int = 0, rng: random.Random | None = None) -> list[int]:
-    """Greedy construction; ties go to the lowest index.
-
-    When rng is given the start city is drawn uniformly and `start` is ignored.
-    """
+def nearest_neighbor_tour(d, start: int = 0) -> list[int]:
+    """Greedy construction from `start`; ties go to the lowest index."""
     n = len(d)
-    if rng is not None:
-        start = rng.randrange(n)
     if not 0 <= start < n:
         raise ValueError(f"start {start} outside [0, {n})")
     dist = np.asarray(d, dtype=float)

@@ -462,6 +462,27 @@ class TestRunExperimentWorkers:
         failed = rows.index(("convex_hull", "ex6", "failed"))
         assert rows[failed + 1:] and all(s == "ok" for _, _, s in rows[failed + 1:])
 
+    @pytest.mark.parametrize("repetitions, workers, started", [(1, 3, None), (2, 4, 2), (3, 2, 2)])
+    def test_no_more_workers_than_runs(self, monkeypatch, repetitions, workers, started):
+        # A pool under fork starts all max_workers processes at the first submit.
+        executor = bench.ProcessPoolExecutor
+        pools = []
+
+        def pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", pool)
+        plan = parse_plan(f"repetitions = {repetitions}\nbase_seed = 2\ntime_scale = 0.05\n"
+                          "[instances]\nrandom n=6 seed=1\n[algorithms]\nqlearning episodes=2\n")
+        records = run_experiment(plan, workers=workers)
+        assert pools == ([] if started is None else [started])
+
+        def strip(r):
+            return dataclasses.replace(r, elapsed_s=0.0)
+
+        assert [strip(r) for r in records] == [strip(r) for r in run_experiment(plan)]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_matrix_outlives_the_call(self, mixed_plan, monkeypatch, workers):
         build_distance_matrix = bench.build_distance_matrix

@@ -275,6 +275,17 @@ class TestBench:
         assert json.loads(out_json.read_text(encoding="utf-8")) == report
         assert "config: seed=0 time_scale=0.05" in err
 
+    def test_out_json_holds_the_printed_report(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("repetitions = 2\ntime_scale = 0.05\n"
+                        "[instances]\nrandom n=6 seed=0\n"
+                        "[algorithms]\nchristofides\nqlearning episodes=2\n",
+                        encoding="utf-8")
+        out_json = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "bench", "--plan", str(plan), "--out-json", str(out_json))
+        assert code == 0
+        assert out_json.read_bytes() == out.encode("utf-8")
+
     def test_missing_plan_is_data_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--plan", "missing-plan.txt")
         assert code == 2

@@ -369,6 +369,17 @@ NEVER_WRITTEN = {
     "infinite time": (ROW.replace(",0.25,", ",-Infinity,"), "a non-finite elapsed_s -inf"),
     "unknown status": (ROW.replace(",ok", ",done"),
                        "status 'done'; expected one of ok, timeout_with_result, failed"),
+    # summarize would drop a costless row without a word, and gap print a
+    # median over fewer runs than the CSV holds.
+    "ok without a cost": (ROW.replace(",123.5,", ",,"),
+                          "status 'ok' without a best_cost; "
+                          "a row has a best_cost exactly when its status is not failed"),
+    "timeout without a cost": (ROW.replace(",123.5,", ",,").replace(",ok", ",timeout_with_result"),
+                               "status 'timeout_with_result' without a best_cost; "
+                               "a row has a best_cost exactly when its status is not failed"),
+    "failed with a cost": (ROW.replace(",ok", ",failed"),
+                           "status 'failed' with a best_cost; "
+                           "a row has a best_cost exactly when its status is not failed"),
 }
 
 

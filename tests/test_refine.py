@@ -205,6 +205,21 @@ class TestRefinementLoop:
         assert report.evaluator_error == "RuntimeError: sandbox died"
         assert report.outcomes == []
 
+    def test_evaluator_crash_keeps_the_last_candidate(self):
+        verdicts = iter([invalid_solution("dup city")])
+
+        def evaluator(payload, temperature, feedback):
+            verdict = next(verdicts, None)
+            if verdict is None:
+                raise RuntimeError("sandbox died")
+            return "candidate-1", verdict
+
+        report = refinement_loop(REQUEST, evaluator=evaluator)
+        assert [o.verdict for o in report.outcomes] == [invalid_solution("dup city")]
+        assert report.final_candidate == "candidate-1"
+        assert report.evaluator_error == "RuntimeError: sandbox died"
+        assert report.succeeded is False
+
     def test_evaluator_required(self):
         with pytest.raises(ValueError):
             refinement_loop(REQUEST)

@@ -90,14 +90,6 @@ def test_nearest_neighbor_tie_takes_lower_index():
     assert nearest_neighbor_tour(d, start=0) == [0, 1, 2]
 
 
-def test_nearest_neighbor_seeded_start():
-    d = random_matrix(7, 4)
-    a = nearest_neighbor_tour(d, rng=random.Random(11))
-    b = nearest_neighbor_tour(d, rng=random.Random(11))
-    assert a == b
-    assert validate_tour(a, 7).ok
-
-
 def test_two_opt_uncrosses_square(unit_square):
     _, d = unit_square
     crossed = [0, 2, 1, 3]
