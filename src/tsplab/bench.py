@@ -440,7 +440,8 @@ def summarize(records: list[RunRecord], metric: str = "best_cost") -> list[Summa
 
 def gap_table(records: list[RunRecord], baseline_variant: str = "baseline") -> list[dict]:
     """Median-vs-median percent gaps of every variant against the baseline
-    variant, per (algorithm, instance); positive means the variant is better."""
+    variant, per (algorithm, instance); positive means the variant is better.
+    A zero baseline median (every city at one point) has no gap: None."""
     stats = summarize(records)
     medians = {(s.algorithm, s.variant, s.instance): s.median for s in stats if not s.n_a}
     rows = []
@@ -456,7 +457,7 @@ def gap_table(records: list[RunRecord], baseline_variant: str = "baseline") -> l
             "variant": variant,
             "baseline_median": base,
             "variant_median": med,
-            "gap_percent": compute_gap(base, med),
+            "gap_percent": compute_gap(base, med) if base > 0 else None,
         })
     return rows
 

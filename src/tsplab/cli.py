@@ -30,7 +30,7 @@ from .instances import (
     render_instance,
 )
 from .refine import PromptTemplate, RefinementRequest, load_template, render_prompt
-from .solvers import ALGORITHMS, SPACES, SolveBudget, get_algorithm, resolve_config, run_solver
+from .solvers import ALGORITHMS, SolveBudget, get_algorithm, resolve_config, run_solver
 from .tuning import race
 
 
@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
     bench.add_argument("--workers", type=int, default=1, help="parallel processes")
 
     tune = sub.add_parser("tune", help="race sampled configurations")
-    tune.add_argument("--algorithm", required=True, choices=sorted(SPACES))
+    tune.add_argument("--algorithm", required=True,
+                      choices=sorted(name for name, spec in ALGORITHMS.items() if spec.tunable))
     tune.add_argument("--instances", nargs="+", required=True,
                       help="instance lines, e.g. 'random n=10 seed=3' or 'file x.tsp'")
     tune.add_argument("--budget", type=int, default=500, help="total run budget")
@@ -184,7 +185,6 @@ def _cmd_tune(args) -> int:
         seed=args.seed,
         time_scale=args.time_scale,
         variant=args.variant,
-        return_state=True,
     )
     json.dump({
         "algorithm": config.algorithm,

@@ -25,11 +25,6 @@ ALGORITHMS: dict[str, SolverSpec] = {spec.name: spec for spec in (
     constructive.CHRISTOFIDES_SPEC, constructive.CONVEX_HULL_SPEC, branch_bound.SPEC,
 )}
 
-SPACES: dict[str, ParamSpace] = {
-    name: spec.space() for name, spec in ALGORITHMS.items() if spec.tunable
-}
-
-
 def get_algorithm(name: str) -> SolverSpec:
     try:
         return ALGORITHMS[name]
@@ -38,9 +33,10 @@ def get_algorithm(name: str) -> SolverSpec:
 
 
 def parameter_space(algorithm: str) -> ParamSpace:
-    if algorithm not in SPACES:
+    spec = ALGORITHMS.get(algorithm)
+    if spec is None or not spec.tunable:
         raise UnknownAlgorithm(f"no parameter space for algorithm {algorithm!r}")
-    return SPACES[algorithm]
+    return spec.space()
 
 
 def preset(algorithm: str, column: str) -> ParamConfig:

@@ -35,19 +35,18 @@ class AcoParams:
 
 
 def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, dist, rows = start_run(d, b, seed)
+    tracker, dist, rows = start_run(d, b)
     n = len(d)
     rng = random.Random(seed)
 
     tau = np.ones((n, n))
+    eta = np.power(np.reciprocal(np.maximum(dist, _TINY)), p.beta)  # (1/d)^beta, fixed
     weight = np.empty((n, n))
     q_deposit = float(dist.mean())
 
     while True:
-        # tau changes only at the deposit. Row by row, so no third n x n array is held.
-        np.power(np.reciprocal(np.maximum(dist, _TINY, out=weight), out=weight), p.beta, out=weight)
-        for row, tau_row in zip(weight, tau):
-            row *= tau_row ** p.alpha  # weight = (1/d)^beta * tau^alpha
+        np.power(tau, p.alpha, out=weight)  # tau changes only at the deposit
+        weight *= eta
         iteration_tours = []
         for _ in range(p.ants):
             tour = _construct(weight, n, rng)

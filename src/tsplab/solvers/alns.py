@@ -33,7 +33,7 @@ class AlnsParams:
 
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b, seed)
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
     rng = random.Random(seed)
 

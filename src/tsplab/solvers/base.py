@@ -53,7 +53,6 @@ class SolveResult:
     best_cost: float
     trajectory: list[tuple[float, float]] | None
     evaluations: int | None
-    seed: int
     elapsed: float
     nodes_expanded: int | None = None
     proven_optimal: bool | None = None
@@ -68,7 +67,6 @@ class RunTracker:
     """
 
     budget: SolveBudget
-    seed: int
     started: float = field(default_factory=time.perf_counter)
     evaluations: int = 0
     best: list[int] | None = None
@@ -110,16 +108,15 @@ class RunTracker:
             best_cost=self.best_cost,
             trajectory=self.trajectory,
             evaluations=self.evaluations,
-            seed=self.seed,
             elapsed=self.elapsed(),
         )
 
 
-def start_run(d, budget: SolveBudget, seed: int) -> tuple[RunTracker, np.ndarray, list[list[float]]]:
+def start_run(d, budget: SolveBudget) -> tuple[RunTracker, np.ndarray, list[list[float]]]:
     """Start the run's clock, then read d once: (tracker, float array, its rows).
 
     elapsed, the time budget and the trajectory times all cover the read."""
-    tracker = RunTracker(budget=budget, seed=seed)
+    tracker = RunTracker(budget)
     matrix = np.asarray(d, dtype=float)
     return tracker, matrix, matrix.tolist()
 

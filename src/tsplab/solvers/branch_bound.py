@@ -15,7 +15,6 @@ same optimal cost; nodes_expanded counts bound evaluations.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -126,8 +125,7 @@ def branch_and_bound(
         # Cap fired before any complete tour: fall back to the NN incumbent.
         best = nearest_neighbor_tour(matrix, start=0)
         incumbent = tour_length(best, dist)
-    # The search draws no random numbers; SPEC.run stamps the caller's seed.
-    return SolveResult(best, float(incumbent), trajectory=None, evaluations=None, seed=0,
+    return SolveResult(best, float(incumbent), trajectory=None, evaluations=None,
                        elapsed=time.perf_counter() - started, nodes_expanded=nodes,
                        proven_optimal=not capped)
 
@@ -135,8 +133,7 @@ def branch_and_bound(
 def _run(inst, d, params, variant, budget, seed) -> SolveResult:
     # Nodes are branch and bound's work unit: the evaluation cap caps them.
     caps = (None, None) if budget is None else (budget.max_evaluations, budget.time_limit)
-    result = branch_and_bound(d, variant, *caps)
-    return replace(result, seed=seed)
+    return branch_and_bound(d, variant, *caps)
 
 
 SPEC = SolverSpec("branch_and_bound", "exact", BB_VARIANTS, run=_run)

@@ -131,19 +131,17 @@ def convex_hull(points) -> list[int]:
     return hull
 
 
-def convex_hull_tour(inst: Instance, d, criterion: str = "ratio") -> list[int]:
+def convex_hull_tour(inst: Instance, d) -> list[int]:
     """Hull cycle plus cheapest insertion of the interior points.
 
-    criterion="ratio" minimizes (d[i][k] + d[k][j]) / d[i][j] over uninserted
-    cities k and tour edges (i, j); "detour" minimizes the absolute detour.
+    Each step inserts the uninserted city k between the tour edge (i, j) that
+    minimizes the ratio (d[i][k] + d[k][j]) / d[i][j].
     Ties: the first pair in scan order (city index, then tour position) within
     1e-12 of the minimum wins, as the old sequential scan did unless a score
     fell in [min + 1e-12, min + 2e-12). Hull vertices keep their cyclic order.
     """
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} has no coordinates")
-    if criterion not in ("ratio", "detour"):
-        raise ValueError(f"unknown insertion criterion: {criterion!r}")
     n = inst.dimension
     if n == 2:
         return [0, 1]
@@ -151,13 +149,13 @@ def convex_hull_tour(inst: Instance, d, criterion: str = "ratio") -> list[int]:
         tour = convex_hull(inst.coords)
     except DegenerateInput as exc:
         tour = list(exc.extremes)  # degenerate hull: fall back to the two extremes
-    return cheapest_insertion(tour, sorted(set(range(n)) - set(tour)), d, criterion)
+    return cheapest_insertion(tour, sorted(set(range(n)) - set(tour)), d, "ratio")
 
 
 def _timed(construct):
     """A SolverSpec run function that times one construction and evaluates its tour."""
     def run(inst, d, params, variant, budget, seed) -> SolveResult:
-        tracker = RunTracker(budget, seed)
+        tracker = RunTracker(budget)
         tracker.evaluate(construct(inst, d), d)
         return tracker.result()
     return run

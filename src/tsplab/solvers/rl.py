@@ -110,7 +110,7 @@ SARSA_SPEC = SolverSpec(
 
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b, seed)
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
     scale = max(float(matrix.max()), _TINY)
     rng = random.Random(seed)

@@ -66,7 +66,7 @@ def solve_sa(
 ) -> SolveResult:
     if variant not in SA_VARIANTS:
         raise ValueError(f"unknown SA variant: {variant!r}")
-    tracker, matrix, dist = start_run(d, b, seed)
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits

@@ -40,7 +40,7 @@ def move_key(order, i: int, j: int) -> frozenset:
 
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b, seed)
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
 
     current = nearest_neighbor_tour(matrix, start=0)

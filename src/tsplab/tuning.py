@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 from .bench import time_limit_for
@@ -36,15 +36,14 @@ def sample_config(space: ParamSpace, seed: int) -> ParamConfig:
 
 @dataclass
 class RaceState:
-    """Bookkeeping of one race: survivors, per-round costs and ranks, budget."""
+    """Bookkeeping of one race: survivors, per-round costs and ranks."""
 
     configs: list[ParamConfig]
     alive: list[int]
-    budget: int
+    costs: dict[int, list[float]]
+    ranks: dict[int, list[float]]
     spent: int = 0
     rounds: int = 0
-    costs: dict[int, list[float]] = field(default_factory=dict)
-    ranks: dict[int, list[float]] = field(default_factory=dict)
 
 
 def race(
@@ -57,16 +56,16 @@ def race(
     time_scale: float = 1.0,
     variant: str = "baseline",
     runner=None,
-    return_state: bool = False,
-):
+) -> tuple[ParamConfig, RaceState]:
     """Race sampled configs on the training instances under an exact run budget.
 
     Each round draws one new (instance, seed) pair shared by all survivors;
     a config is eliminated once its mean rank trails the best mean rank by
     more than one standard error of the best config's ranks. The survivor
-    with the best mean cost wins. `runner(config, instance, run_seed)` can be
-    injected for tests; the default builds the distance matrix and runs the
-    real solver with the protocol time limit.
+    with the best mean cost wins; returns it with the final RaceState.
+    `runner(config, instance, run_seed)` can be injected for tests; the
+    default builds each instance's distance matrix once and runs the real
+    solver with the protocol time limit.
     """
     if space is None:
         space = parameter_space(algorithm)
@@ -82,10 +81,9 @@ def race(
         runner = _default_runner(algorithm, variant, time_scale)
 
     configs = [sample_config(space, stable_hash(seed, "candidate", i)) for i in range(candidates)]
-    state = RaceState(configs=configs, alive=list(range(candidates)), budget=budget)
-    for i in range(candidates):
-        state.costs[i] = []
-        state.ranks[i] = []
+    state = RaceState(configs=configs, alive=list(range(candidates)),
+                      costs={i: [] for i in range(candidates)},
+                      ranks={i: [] for i in range(candidates)})
 
     while len(state.alive) > 1 and state.spent + len(state.alive) <= budget:
         inst = instances[state.rounds % len(instances)]
@@ -112,7 +110,7 @@ def race(
         values=dict(cfg.values),
         provenance=f"raced(seed={seed},rounds={state.rounds},runs={state.spent})",
     )
-    return (final, state) if return_state else final
+    return final, state
 
 
 def _ranked(round_costs: list[tuple[float, int]]):
@@ -126,8 +124,14 @@ def _ranked(round_costs: list[tuple[float, int]]):
 
 
 def _default_runner(algorithm: str, variant: str, time_scale: float):
+    # Keyed by object, not name: two files without NAME are both "unnamed".
+    # The race's instance list keeps every keyed object alive.
+    matrices: dict[int, object] = {}
+
     def run(config: ParamConfig, inst: Instance, run_seed: int) -> float:
-        matrix = build_distance_matrix(inst)
+        matrix = matrices.get(id(inst))
+        if matrix is None:
+            matrix = matrices[id(inst)] = build_distance_matrix(inst)
         limit = time_limit_for(inst.dimension, time_scale)
         outcome = run_solver(
             algorithm, inst, matrix, config.values, variant,

@@ -346,7 +346,7 @@ def test_c16_tuner_race_and_sampling():
             return float(config.values["tenure"])  # lower tenure always wins
 
         winner, state = race("tabu", instances=insts, budget=64, candidates=4,
-                             seed=race_seed, runner=runner, return_state=True)
+                             seed=race_seed, runner=runner)
         dominant = min(state.configs, key=lambda c: c.values["tenure"])
         assert winner.values == dominant.values
         assert state.spent <= 64

@@ -298,6 +298,16 @@ class TestGapTable:
         rows = gap_table([_row("hybrid_r1", 0, 90.0)])
         assert rows == []
 
+    def test_zero_baseline_median_has_no_gap(self):
+        records = [_row(v, r, c, instance=inst)
+                   for inst, base, var in (("flat", 0.0, 0.0), ("x", 100.0, 90.0))
+                   for v, c in (("baseline", base), ("hybrid_r1", var))
+                   for r in range(3)]
+        rows = {row["instance"]: row for row in gap_table(records)}
+        assert rows["flat"]["gap_percent"] is None
+        assert (rows["flat"]["baseline_median"], rows["flat"]["variant_median"]) == (0.0, 0.0)
+        assert rows["x"]["gap_percent"] == compute_gap(100.0, 90.0)
+
 
 @pytest.fixture(scope="module")
 def tiny_plan():

@@ -300,6 +300,29 @@ class TestBench:
         assert "error: workers must be >= 1, got 0" in err
 
 
+    def test_zero_cost_instance_keeps_the_report(self, capsys, tmp_path):
+        # lo = hi puts every city at one point, so every tour costs 0.
+        def bench(name, instances):
+            plan = tmp_path / f"{name}.txt"
+            plan.write_text("repetitions = 1\ntime_scale = 0.05\n[instances]\n"
+                            f"{instances}\n[algorithms]\nbranch_and_bound\n"
+                            "branch_and_bound variant=enhanced_r1\n", encoding="utf-8")
+            out_csv, out_json = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            code, out, _ = run_cli(capsys, "bench", "--plan", str(plan),
+                                   "--out-csv", str(out_csv), "--out-json", str(out_json))
+            assert code == 0
+            report = json.loads(out_json.read_text(encoding="utf-8"))
+            return {row["instance"]: row for row in report["gaps"]}, out_csv
+
+        gaps, out_csv = bench("both", "random n=5 seed=0 lo=3 hi=3\nrandom n=6 seed=1")
+        alone, _ = bench("alone", "random n=6 seed=1")
+        assert gaps["rnd5-s0"]["gap_percent"] is None
+        assert gaps["rnd5-s0"]["baseline_median"] == gaps["rnd5-s0"]["variant_median"] == 0.0
+        assert gaps["rnd6-s1"] == alone["rnd6-s1"]
+        code, out, _ = run_cli(capsys, "gap", "--csv", str(out_csv))
+        assert code == 0
+        assert {row["instance"]: row for row in json.loads(out)} == gaps
+
     @pytest.mark.parametrize("scale", ["inf", "nan"])
     def test_non_finite_time_scale_is_data_error(self, capsys, tmp_path, scale):
         plan = tmp_path / "plan.txt"

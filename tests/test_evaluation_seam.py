@@ -49,7 +49,7 @@ def run_cli(capsys, *argv):
 @pytest.mark.parametrize("seed", range(5))
 def test_evaluate_costs_counts_and_offers(seed):
     rng = random.Random(seed)
-    tracker = RunTracker(SolveBudget(max_evaluations=100), seed)
+    tracker = RunTracker(SolveBudget(max_evaluations=100))
     for k in range(40):
         tour = list(range(INST.dimension))
         rng.shuffle(tour)
@@ -67,7 +67,7 @@ def test_evaluate_costs_counts_and_offers(seed):
 
 
 def test_evaluate_keeps_a_tied_tour_out():
-    tracker = RunTracker(SolveBudget(max_evaluations=10), 0)
+    tracker = RunTracker(SolveBudget(max_evaluations=10))
     tour = list(range(INST.dimension))
     assert tracker.evaluate(tour, MATRIX)[1] is True
     assert tracker.evaluate(tour[::-1], MATRIX) == (tracker.best_cost, False)
@@ -109,7 +109,7 @@ def test_refresh_replaces_all_but_one_of_the_first_tied_cost():
     d = MATRIX
     pop = [list(range(9)) for _ in range(6)]
     costs = [5.0, 5.0, 7.0, 7.0, 9.0, 1.0]
-    tracker = RunTracker(SolveBudget(max_evaluations=100), 0)
+    tracker = RunTracker(SolveBudget(max_evaluations=100))
     _refresh_duplicates(pop, costs, d, 9, GaParams(6, 0.1, 1, 0.3), random.Random(0), tracker)
     assert tracker.evaluations == 1
     assert costs[0] == 5.0 and costs[2:] == [7.0, 7.0, 9.0, 1.0]

@@ -94,7 +94,6 @@ def test_meta_solver_result_contract():
         assert costs[-1] == result.best_cost, name
         # best-so-far is monotone: never worse than the initial solution
         assert result.best_cost <= costs[0] + 1e-9, name
-        assert result.seed == 3
 
 
 def test_meta_solver_seeded_determinism():
@@ -105,8 +104,6 @@ def test_meta_solver_seeded_determinism():
         assert a.best_cost == b.best_cost, name
         assert a.evaluations == b.evaluations, name
         assert [c for _, c in a.trajectory] == [c for _, c in b.trajectory], name
-        other = call(43)
-        assert other.seed != a.seed
 
 
 def test_meta_solver_evaluation_budget_respected():
@@ -329,7 +326,7 @@ def test_hybrid_initial_population_nn_seeds():
 
     d = random_matrix(10, 3)
     rng = random.Random(0)
-    tracker = RunTracker(budget=GENEROUS, seed=0)
+    tracker = RunTracker(budget=GENEROUS)
     pop, costs = _initial_population(d, d.tolist(), 10, GaParams(10, 0.05, 1), rng, True, tracker)
     assert len(pop) == len(costs) == 10
     nn_tours = {tuple(nearest_neighbor_tour(d, start=s)) for s in range(10)}
@@ -337,7 +334,7 @@ def test_hybrid_initial_population_nn_seeds():
     assert seeded >= 2  # both NN seeds present (random tours may coincide)
 
     pop4, _ = _initial_population(d, d.tolist(), 10, GaParams(4, 0.05, 1), rng, True,
-                                  RunTracker(budget=GENEROUS, seed=0))
+                                  RunTracker(budget=GENEROUS))
     assert len(pop4) == 4
     assert not any(tuple(t) in nn_tours for t in pop4)  # below the N >= 5 guard
 

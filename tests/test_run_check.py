@@ -28,12 +28,12 @@ INST = generate_random_instance(6, 3)
 
 def _repeated_city(inst, d, params, variant, budget, seed):
     tour = [0] + list(range(inst.dimension - 1))  # city 0 twice, the last city never
-    return SolveResult(tour, tour_length(tour, d), None, 1, seed, 0.0)
+    return SolveResult(tour, tour_length(tour, d), None, 1, 0.0)
 
 
 def _halved_cost(inst, d, params, variant, budget, seed):
     tour = list(range(inst.dimension))
-    return SolveResult(tour, tour_length(tour, d) / 2, None, 1, seed, 0.0)
+    return SolveResult(tour, tour_length(tour, d) / 2, None, 1, 0.0)
 
 
 BAD_RUNS = {
@@ -82,7 +82,7 @@ def test_race_default_runner_raises(bad_tabu):
 def test_cost_within_tolerance_is_re_costed(monkeypatch):
     def nudged(inst, d, params, variant, budget, seed):
         tour = list(range(inst.dimension))
-        return SolveResult(tour, tour_length(tour, d) * (1 + 1e-12), None, 1, seed, 0.0)
+        return SolveResult(tour, tour_length(tour, d) * (1 + 1e-12), None, 1, 0.0)
 
     monkeypatch.setitem(ALGORITHMS, "tabu", dataclasses.replace(ALGORITHMS["tabu"], run=nudged))
     d = build_distance_matrix(INST)

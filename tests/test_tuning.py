@@ -19,10 +19,11 @@ from tsplab import (
     run_solver,
     sample_config,
 )
-from tsplab.solvers import PRESET_COLUMNS, SPACES
+from tsplab.solvers import ALGORITHMS as SPECS, PRESET_COLUMNS
+from tsplab import tuning
 from tsplab.tuning import _ranked
 
-ALGORITHMS = tuple(SPACES)
+ALGORITHMS = tuple(name for name, spec in SPECS.items() if spec.tunable)
 
 
 class TestPresets:
@@ -126,7 +127,7 @@ class TestRace:
         insts = _training_instances()
         space = ParamSpace("aco", (ParamDef("ants", "int", 2, 20),))
         winner, state = race("aco", space=space, instances=insts, budget=50,
-                             candidates=2, seed=3, runner=runner, return_state=True)
+                             candidates=2, seed=3, runner=runner)
         lighter = min(range(2), key=lambda i: state.configs[i].values["ants"])
         assert state.alive == [lighter]
         assert winner.values == state.configs[lighter].values
@@ -138,7 +139,7 @@ class TestRace:
             return 10.0
 
         winner, state = race("tabu", instances=_training_instances(1), budget=24,
-                             candidates=4, seed=0, runner=runner, return_state=True)
+                             candidates=4, seed=0, runner=runner)
         space = parameter_space("tabu")
         assert 3 <= winner.values["tenure"] <= 30
         assert space.params[0].lo <= winner.values["tenure"] <= space.params[0].hi
@@ -154,7 +155,7 @@ class TestRace:
             return float(config.values["tenure"] % 7)
 
         _, state = race("tabu", instances=_training_instances(3), budget=60,
-                        candidates=8, seed=9, runner=runner, return_state=True)
+                        candidates=8, seed=9, runner=runner)
         assert state.spent == len(calls) <= 60
         survivor_counts = [len({i for i in state.ranks if len(state.ranks[i]) > r})
                            for r in range(state.rounds)]
@@ -186,7 +187,7 @@ class TestRace:
             return table.get(config.values["tenure"] % 5, 3.0)
 
         winner, state = race("tabu", instances=_training_instances(1), budget=40,
-                             candidates=4, seed=7, runner=runner, return_state=True)
+                             candidates=4, seed=7, runner=runner)
         means = {i: statistics.fmean(state.costs[i])
                  for i in state.alive if state.costs[i]}
         best = min(means.values())
@@ -208,6 +209,22 @@ class TestRace:
             race("tabu", instances=[], budget=50, candidates=4,
                  runner=lambda c, i, s: 0.0)
 
+    def test_default_runner_builds_each_matrix_once(self, monkeypatch):
+        built = []
+
+        def counting(inst, *args, **kwargs):
+            built.append(inst)
+            return build_distance_matrix(inst, *args, **kwargs)
+
+        monkeypatch.setattr(tuning, "build_distance_matrix", counting)
+        insts = _training_instances(2, n=6)
+        for inst in insts:
+            inst.name = "unnamed"  # as for two files without NAME
+        _, state = race("qlearning", instances=insts, budget=8, candidates=2, seed=4,
+                        time_scale=0.05)
+        assert state.spent >= 4
+        assert len(built) == 2 and built[0] is insts[0] and built[1] is insts[1]
+
     def test_real_solver_race(self):
         def runner(config, inst, run_seed):
             d = build_distance_matrix(inst)
@@ -215,7 +232,7 @@ class TestRace:
                              SolveBudget(time_limit=2.0, max_evaluations=150), run_seed)
             return out.best_cost
 
-        winner = race("tabu", instances=_training_instances(2, n=7), budget=10,
+        winner, _ = race("tabu", instances=_training_instances(2, n=7), budget=10,
                       candidates=2, seed=1, runner=runner)
         space = parameter_space("tabu")
         assert space.params[0].lo <= winner.values["tenure"] <= space.params[0].hi
