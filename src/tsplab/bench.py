@@ -457,7 +457,7 @@ def gap_table(records: list[RunRecord], baseline_variant: str = "baseline") -> l
             "variant": variant,
             "baseline_median": base,
             "variant_median": med,
-            "gap_percent": compute_gap(base, med) if base > 0 else None,
+            "gap_percent": None if base == 0 else compute_gap(base, med),
         })
     return rows
 

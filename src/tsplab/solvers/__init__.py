@@ -25,6 +25,7 @@ ALGORITHMS: dict[str, SolverSpec] = {spec.name: spec for spec in (
     constructive.CHRISTOFIDES_SPEC, constructive.CONVEX_HULL_SPEC, branch_bound.SPEC,
 )}
 
+
 def get_algorithm(name: str) -> SolverSpec:
     try:
         return ALGORITHMS[name]

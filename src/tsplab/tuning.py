@@ -64,8 +64,8 @@ def race(
     more than one standard error of the best config's ranks. The survivor
     with the best mean cost wins; returns it with the final RaceState.
     `runner(config, instance, run_seed)` can be injected for tests; the
-    default builds each instance's distance matrix once and runs the real
-    solver with the protocol time limit.
+    default builds the distance matrix and runs the real solver with the
+    protocol time limit.
     """
     if space is None:
         space = parameter_space(algorithm)
@@ -124,14 +124,8 @@ def _ranked(round_costs: list[tuple[float, int]]):
 
 
 def _default_runner(algorithm: str, variant: str, time_scale: float):
-    # Keyed by object, not name: two files without NAME are both "unnamed".
-    # The race's instance list keeps every keyed object alive.
-    matrices: dict[int, object] = {}
-
     def run(config: ParamConfig, inst: Instance, run_seed: int) -> float:
-        matrix = matrices.get(id(inst))
-        if matrix is None:
-            matrix = matrices[id(inst)] = build_distance_matrix(inst)
+        matrix = build_distance_matrix(inst)
         limit = time_limit_for(inst.dimension, time_scale)
         outcome = run_solver(
             algorithm, inst, matrix, config.values, variant,

@@ -308,6 +308,12 @@ class TestGapTable:
         assert (rows["flat"]["baseline_median"], rows["flat"]["variant_median"]) == (0.0, 0.0)
         assert rows["x"]["gap_percent"] == compute_gap(100.0, 90.0)
 
+    def test_negative_baseline_median_still_raises(self):
+        records = [_row(v, r, c) for v, c in (("baseline", -5.0), ("hybrid_r1", -6.0))
+                   for r in range(3)]
+        with pytest.raises(ZeroBaseline):
+            gap_table(records)
+
 
 @pytest.fixture(scope="module")
 def tiny_plan():

@@ -20,7 +20,6 @@ from tsplab import (
     sample_config,
 )
 from tsplab.solvers import ALGORITHMS as SPECS, PRESET_COLUMNS
-from tsplab import tuning
 from tsplab.tuning import _ranked
 
 ALGORITHMS = tuple(name for name, spec in SPECS.items() if spec.tunable)
@@ -208,22 +207,6 @@ class TestRace:
         with pytest.raises(ValueError):
             race("tabu", instances=[], budget=50, candidates=4,
                  runner=lambda c, i, s: 0.0)
-
-    def test_default_runner_builds_each_matrix_once(self, monkeypatch):
-        built = []
-
-        def counting(inst, *args, **kwargs):
-            built.append(inst)
-            return build_distance_matrix(inst, *args, **kwargs)
-
-        monkeypatch.setattr(tuning, "build_distance_matrix", counting)
-        insts = _training_instances(2, n=6)
-        for inst in insts:
-            inst.name = "unnamed"  # as for two files without NAME
-        _, state = race("qlearning", instances=insts, budget=8, candidates=2, seed=4,
-                        time_scale=0.05)
-        assert state.spent >= 4
-        assert len(built) == 2 and built[0] is insts[0] and built[1] is insts[1]
 
     def test_real_solver_race(self):
         def runner(config, inst, run_seed):
