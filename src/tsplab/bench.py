@@ -438,17 +438,18 @@ def summarize(records: list[RunRecord], metric: str = "best_cost") -> list[Summa
     return out
 
 
-def gap_table(records: list[RunRecord], baseline_variant: str = "baseline") -> list[dict]:
-    """Median-vs-median percent gaps of every variant against the baseline
-    variant, per (algorithm, instance); positive means the variant is better.
+def gap_table(records: list[RunRecord]) -> list[dict]:
+    """Median-vs-median percent gaps of every variant against the variant
+    named "baseline", per (algorithm, instance); positive means the variant
+    is better.
     A zero baseline median (every city at one point) has no gap: None."""
     stats = summarize(records)
     medians = {(s.algorithm, s.variant, s.instance): s.median for s in stats if not s.n_a}
     rows = []
     for (algorithm, variant, instance), med in sorted(medians.items()):
-        if variant == baseline_variant:
+        if variant == "baseline":
             continue
-        base = medians.get((algorithm, baseline_variant, instance))
+        base = medians.get((algorithm, "baseline", instance))
         if base is None:
             continue
         rows.append({

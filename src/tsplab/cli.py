@@ -91,8 +91,6 @@ def _build_parser() -> _Parser:
 
     gap = sub.add_parser("gap", help="variant-vs-baseline gap table from a CSV")
     gap.add_argument("--csv", required=True, help="results CSV path")
-    gap.add_argument("--baseline-variant", default="baseline",
-                     help="variant name treated as the baseline")
 
     rp = sub.add_parser("render-prompt", help="render the refinement prompt")
     rp.add_argument("--template", default=None, help="template file (default embedded)")
@@ -121,11 +119,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_variant(args) -> None:
+    if args.variant not in get_algorithm(args.algorithm).variants:
+        raise _UsageError(f"--variant {args.variant!r} not offered by {args.algorithm}")
+
+
 def _cmd_solve(args) -> int:
     if args.preset is not None and args.config is not None:
         raise _UsageError("--preset and --config are mutually exclusive")
-    if args.variant not in get_algorithm(args.algorithm).variants:
-        raise _UsageError(f"--variant {args.variant!r} not offered by {args.algorithm}")
+    _check_variant(args)
     _echo_config(args.seed, args.time_scale, args.rounding)
     inline = None if args.config is None else _parse_kv(args.config.split(","), "--config")
     config_id, values = resolve_config(args.algorithm, args.variant, args.preset, inline)
@@ -174,6 +176,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    _check_variant(args)
     _echo_config(args.seed, args.time_scale, "none")
     specs = [_parse_instance_line(line) for line in args.instances]
     instances = [spec.resolve() for spec in specs]
@@ -202,8 +205,7 @@ def _cmd_gap(args) -> int:
     _echo_config("-", "-", "-")
     with open(args.csv, encoding="utf-8") as fh:
         records = read_csv(fh.read())
-    json.dump(gap_table(records, baseline_variant=args.baseline_variant),
-              sys.stdout, indent=2)
+    json.dump(gap_table(records), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 

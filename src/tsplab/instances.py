@@ -83,14 +83,14 @@ def parse_instance(text: str) -> Instance:
         # Stray non-numeric junk outside sections is ignored.
 
     if "DIMENSION" not in header:
-        raise MissingField("DIMENSION")
+        raise MissingField("missing DIMENSION")
     try:
         dimension = int(header["DIMENSION"])
     except ValueError as exc:
         raise MissingField(f"DIMENSION not an integer: {header['DIMENSION']}") from exc
 
     if "EDGE_WEIGHT_TYPE" not in header:
-        raise MissingField("EDGE_WEIGHT_TYPE")
+        raise MissingField("missing EDGE_WEIGHT_TYPE")
     kind = header["EDGE_WEIGHT_TYPE"]
     if kind not in _SUPPORTED_TYPES:
         raise UnsupportedFormat(f"EDGE_WEIGHT_TYPE {kind} not supported")
@@ -100,7 +100,7 @@ def parse_instance(text: str) -> Instance:
     if kind in ("EUC_2D", "GEO"):
         lines = sections.get("NODE_COORD_SECTION")
         if not lines:
-            raise MissingField("NODE_COORD_SECTION")
+            raise MissingField("missing NODE_COORD_SECTION")
         if len(lines) != dimension:
             raise CountMismatch(
                 f"{len(lines)} coordinate lines for dimension {dimension}"
@@ -115,12 +115,12 @@ def parse_instance(text: str) -> Instance:
 
     fmt = header.get("EDGE_WEIGHT_FORMAT")
     if fmt is None:
-        raise MissingField("EDGE_WEIGHT_FORMAT")
+        raise MissingField("missing EDGE_WEIGHT_FORMAT")
     if fmt not in _SUPPORTED_FORMATS:
         raise UnsupportedFormat(f"EDGE_WEIGHT_FORMAT {fmt} not supported")
     lines = sections.get("EDGE_WEIGHT_SECTION")
     if not lines:
-        raise MissingField("EDGE_WEIGHT_SECTION")
+        raise MissingField("missing EDGE_WEIGHT_SECTION")
     values = [float(tok) for line in lines for tok in line.split()]
     matrix = _weights_to_matrix(values, dimension, fmt)
     return Instance(name=name, dimension=dimension, kind="EXPLICIT", matrix=matrix)
@@ -211,7 +211,7 @@ def generate_random_instance(
     if not np.isfinite(hi - lo):  # NaN, an infinite bound, or a span that overflows
         raise ValueError(f"coordinate range must be finite, got {coord_range}")
     if lo > hi:
-        raise ValueError(f"empty coordinate range: {coord_range}")
+        raise ValueError(f"empty coordinate range: lo={lo} > hi={hi}")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo, hi, size=(n, 2))
     coords = [(float(x), float(y)) for x, y in pts]

@@ -57,11 +57,9 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
         tau *= 1.0 - p.evaporation_rate
         for tour, cost in iteration_tours:
             deposit = q_deposit / max(cost, _TINY)
-            prev = tour[-1]
-            for city in tour:
-                tau[prev][city] += deposit
-                tau[city][prev] += deposit
-                prev = city
+            prev = tour[-1:] + tour[:-1]
+            tau[prev, tour] += deposit
+            tau[tour, prev] += deposit
         if tracker.out_of_budget():
             return tracker.result()
 

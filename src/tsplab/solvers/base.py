@@ -63,10 +63,12 @@ class RunTracker:
     """Clock, evaluation counter, and strictly-improving incumbent record.
 
     evaluate() is the one place a complete tour is costed, counted as one
-    evaluation and offered to the incumbent.
+    evaluation and offered to the incumbent. offer_summed() takes a tour whose
+    cost was summed from move deltas, as SA and tabu keep it: it costs the tour
+    exactly before offering it and counts no evaluation.
     """
 
-    budget: SolveBudget
+    budget: SolveBudget | None
     started: float = field(default_factory=time.perf_counter)
     evaluations: int = 0
     best: list[int] | None = None
@@ -91,6 +93,15 @@ class RunTracker:
         self.evaluations += 1
         return cost, self.offer(tour, cost)
 
+    def offer_summed(self, tour: list[int], cost: float, d) -> float:
+        """The cost to carry on with for a tour whose cost was summed from
+        move deltas; one that looks like a new best is re-costed on d, since
+        summed deltas drift, and offered."""
+        if cost < self.best_cost:
+            cost = tour_length(tour, d)
+            self.offer(tour, cost)
+        return cost
+
     def out_of_budget(self) -> bool:
         b = self.budget
         if b.max_evaluations is not None and self.evaluations >= b.max_evaluations:
@@ -112,7 +123,7 @@ class RunTracker:
         )
 
 
-def start_run(d, budget: SolveBudget) -> tuple[RunTracker, np.ndarray, list[list[float]]]:
+def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray, list[list[float]]]:
     """Start the run's clock, then read d once: (tracker, float array, its rows).
 
     elapsed, the time budget and the trajectory times all cover the read."""

@@ -14,12 +14,10 @@ same optimal cost; nodes_expanded counts bound evaluations.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
-from .base import SolveResult, SolverSpec
+from .base import SolveResult, SolverSpec, start_run
 
 BB_VARIANTS = ("baseline", "enhanced_r1")
 
@@ -51,17 +49,16 @@ def branch_and_bound(
 ) -> SolveResult:
     if variant not in BB_VARIANTS:
         raise ValueError(f"unknown branch and bound variant: {variant!r}")
-    started = time.perf_counter()
-    n = len(d)
-    matrix = np.asarray(d, dtype=float)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, None)
+    n = len(dist)
     min1, min2 = bound_cache(dist)
+    nn_tour = nearest_neighbor_tour(matrix, start=0)
+    nn_cost = tour_length(nn_tour, dist)
 
     # enhanced_r1 starts from the NN incumbent and tries children in ascending
     # edge weight (a stable sort, so the lower index breaks ties).
     if variant == "enhanced_r1":
-        best = nearest_neighbor_tour(matrix, start=0)
-        incumbent = tour_length(best, dist)
+        best, incumbent = nn_tour, nn_cost
         order_from = np.argsort(matrix, axis=1, kind="stable").tolist()
     else:
         best, incumbent = None, float("inf")
@@ -84,7 +81,7 @@ def branch_and_bound(
                 capped = True
                 return
             if time_cap is not None and nodes & _CAP_CHECK_MASK == 0:
-                if time.perf_counter() - started >= time_cap:
+                if tracker.elapsed() >= time_cap:
                     capped = True
                     return
             # Keep min1/2 charged for every open endpoint (the future edge out
@@ -101,9 +98,7 @@ def branch_and_bound(
                 total = child_weight + dist[child][0]
                 if total < incumbent:
                     incumbent = total
-                    path.append(child)
-                    best = list(path)
-                    path.pop()
+                    best = path + [child]
                 continue
             if child_weight + child_bound >= incumbent:
                 continue  # prune
@@ -115,18 +110,13 @@ def branch_and_bound(
             if capped:
                 return
 
-    if n == 2:
-        best = [0, 1]
-        incumbent = tour_length(best, dist)
-    else:
+    if n > 2:
         dfs(0, 1, 0.0, root_bound)
-
     if best is None:
-        # Cap fired before any complete tour: fall back to the NN incumbent.
-        best = nearest_neighbor_tour(matrix, start=0)
-        incumbent = tour_length(best, dist)
+        # A cap fired before any complete tour, or n = 2, whose one tour is NN's.
+        best, incumbent = nn_tour, nn_cost
     return SolveResult(best, float(incumbent), trajectory=None, evaluations=None,
-                       elapsed=time.perf_counter() - started, nodes_expanded=nodes,
+                       elapsed=tracker.elapsed(), nodes_expanded=nodes,
                        proven_optimal=not capped)
 
 

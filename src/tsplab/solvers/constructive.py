@@ -76,14 +76,7 @@ def christofides(d) -> list[int]:
     for u, v in greedy_matching(odd, d):
         adjacency[u].append(v)
         adjacency[v].append(u)
-    circuit = _euler_circuit(adjacency, start=0)
-    seen = set()
-    tour = []
-    for city in circuit:
-        if city not in seen:
-            seen.add(city)
-            tour.append(city)
-    return tour
+    return list(dict.fromkeys(_euler_circuit(adjacency, start=0)))
 
 
 def _euler_circuit(adjacency: dict[int, list[int]], start: int) -> list[int]:
@@ -137,8 +130,7 @@ def convex_hull_tour(inst: Instance, d) -> list[int]:
     Each step inserts the uninserted city k between the tour edge (i, j) that
     minimizes the ratio (d[i][k] + d[k][j]) / d[i][j].
     Ties: the first pair in scan order (city index, then tour position) within
-    1e-12 of the minimum wins, as the old sequential scan did unless a score
-    fell in [min + 1e-12, min + 2e-12). Hull vertices keep their cyclic order.
+    1e-12 of the minimum wins. Hull vertices keep their cyclic order.
     """
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} has no coordinates")

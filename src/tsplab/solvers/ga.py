@@ -201,13 +201,8 @@ def _refresh_duplicates(pop, costs, dist, n, p, rng, tracker):
     worst_cost, count = Counter(costs).most_common(1)[0]
     if count <= p.diversity_threshold * p.population_size:
         return
-    kept_one = False
-    for i in range(len(pop)):
-        if costs[i] != worst_cost:
-            continue
-        if not kept_one:
-            kept_one = True
-            continue
+    tied = [i for i, cost in enumerate(costs) if cost == worst_cost]
+    for i in tied[1:]:  # keep the first of the tied
         perm = list(range(n))
         rng.shuffle(perm)
         costs[i], _ = tracker.evaluate(perm, dist)

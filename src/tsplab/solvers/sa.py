@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..tours import nearest_neighbor_tour, randbelow, reversal_delta, tour_length
+from ..tours import nearest_neighbor_tour, randbelow, reversal_delta
 from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 SA_VARIANTS = ("baseline", "lundy_mees_r1")
@@ -93,11 +93,7 @@ def solve_sa(
         tracker.evaluations += 1
         if metropolis_accept(delta, temperature, rng):
             current[i : j + 1] = current[i : j + 1][::-1]
-            current_cost += delta
-            if current_cost < tracker.best_cost:
-                # Re-cost exactly before recording: incremental deltas drift.
-                current_cost = tour_length(current, dist)
-                tracker.offer(current, current_cost)
+            current_cost = tracker.offer_summed(current, current_cost + delta, dist)
         if variant == "baseline":
             temperature *= p.cooling_rate
             if temperature < p.t_final:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..tours import nearest_neighbor_tour, reversal_delta, tour_length
+from ..tours import nearest_neighbor_tour, reversal_delta
 from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 _EPS = 1e-12
@@ -70,12 +70,8 @@ def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
         cand_cost, i, j = best_any if best_move is None else best_move
         tabu[move_key(current, i, j)] = iteration + p.tenure
         current[i : j + 1] = current[i : j + 1][::-1]
-        current_cost = cand_cost
         tracker.evaluations += 1
-        if current_cost < tracker.best_cost:
-            # Re-cost exactly before recording: incremental deltas drift.
-            current_cost = tour_length(current, dist)
-            tracker.offer(current, current_cost)
+        current_cost = tracker.offer_summed(current, cand_cost, dist)
         if len(tabu) > 4 * n * n:  # drop expired entries now and then
             tabu = {k: exp for k, exp in tabu.items() if exp >= iteration}
     # Below 4 cities the 2-opt neighborhood is empty and the NN tour is final.

@@ -98,6 +98,21 @@ def test_two_cities():
     assert result.proven_optimal
 
 
+@pytest.mark.parametrize("variant", ["baseline", "enhanced_r1"])
+def test_two_cities_need_no_search(variant):
+    result = branch_and_bound([[0.0, 7.0], [7.0, 0.0]], variant)
+    assert (result.best, result.best_cost) == ([0, 1], 14.0)
+    assert (result.nodes_expanded, result.proven_optimal) == (0, True)
+
+
+def test_cap_before_any_tour_falls_back_to_nearest_neighbor():
+    d = random_matrix(6, 0)
+    nn = nearest_neighbor_tour(d, start=0)
+    result = branch_and_bound(d, "baseline", node_cap=1)
+    assert (result.best, result.best_cost) == (nn, tour_length(nn, d))
+    assert (result.nodes_expanded, result.proven_optimal) == (2, False)
+
+
 def test_unknown_variant():
     with pytest.raises(ValueError):
         branch_and_bound([[0.0, 1.0], [1.0, 0.0]], variant="fancy")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -362,6 +363,17 @@ class TestTune:
         assert 0.01 <= payload["values"]["learning_rate"] <= 0.5
         assert 1000 <= payload["values"]["episodes"] <= 10000
 
+    @pytest.mark.parametrize("line", ["random n=6 seed=1", "file missing.tsp"])
+    def test_foreign_variant_is_usage_error(self, capsys, line):
+        # Checked before any instance is read, as in solve.
+        code, out, err = run_cli(
+            capsys, "tune", "--algorithm", "aco", "--variant", "bogus",
+            "--instances", line, "--budget", "4", "--candidates", "2",
+        )
+        assert code == 1
+        assert "usage error: --variant 'bogus' not offered by aco" in err
+        assert out == ""
+
     def test_budget_too_small_is_data_error(self, capsys):
         code, _, err = run_cli(
             capsys, "tune", "--algorithm", "tabu",
@@ -447,7 +459,7 @@ HELP_FLAGS = {
     "bench": ["--plan", "--out-csv", "--out-json", "--workers"],
     "tune": ["--algorithm", "--instances", "--budget", "--seed", "--candidates",
              "--variant", "--time-scale"],
-    "gap": ["--csv", "--baseline-variant"],
+    "gap": ["--csv"],
     "render-prompt": ["--template", "--name", "--signature", "--code-file"],
 }
 
@@ -461,10 +473,11 @@ class TestHelp:
 
     @pytest.mark.parametrize("sub", sorted(HELP_FLAGS))
     def test_subcommand_help_enumerates_flags(self, capsys, sub):
+        """The help lists exactly the table's flags, so a flag added or
+        removed without updating HELP_FLAGS fails here."""
         code, out, _ = run_cli(capsys, sub, "--help")
         assert code == 0
-        for flag in HELP_FLAGS[sub]:
-            assert flag in out
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == {*HELP_FLAGS[sub], "--help"}
 
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys)

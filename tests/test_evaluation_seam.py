@@ -116,6 +116,13 @@ def test_refresh_replaces_all_but_one_of_the_first_tied_cost():
     assert costs[1] == tour_length(pop[1], d)
 
 
+def test_stochastic_run_needs_a_budget():
+    with pytest.raises(ValueError, match="sa needs a budget"):
+        run_solver("sa", INST, MATRIX, None, "baseline", None, 0)
+    with pytest.raises(ValueError, match="budget needs a time limit or an evaluation cap"):
+        SolveBudget()
+
+
 # -- plan and instance lines ------------------------------------------------------
 
 BAD_PLANS = {
@@ -198,6 +205,12 @@ def test_tune_cli_rejects_a_repeated_instance_key(capsys):
     ("sa t_start=1 t_final=2", "t_start > t_final"),
     ("ga population_size=1e400", "ga parameter population_size must be finite"),
     ("alns reaction_factor=nan", "alns parameter reaction_factor must be finite"),
+    ("sa t_start", "expected key=value in algorithm line sa, got 't_start'"),
+    ("aco evaporation_rate=1", "evaporation_rate must be in"),
+    ("alns removal_fraction=0", "removal_fraction must be in"),
+    ("alns reaction_factor=1.5", "reaction_factor must be in"),
+    ("ga mutation_rate=2", "mutation_rate must be in"),
+    ("sarsa epsilon=1.5", "epsilon must be in"),
 ])
 def test_bad_parameter_values_stop_the_plan_before_any_run(capsys, tmp_path, line, message):
     text = _QUICK + _PLAN_TAIL + line + "\n"
@@ -208,6 +221,21 @@ def test_bad_parameter_values_stop_the_plan_before_any_run(capsys, tmp_path, lin
     code, out, err = run_cli(capsys, "bench", "--plan", str(plan), "--out-csv", str(rows))
     assert code == 2
     assert err.startswith("error: ") and message in err
+    assert out == "" and not rows.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("repetitions = 0\n" + _PLAN_TAIL, "repetitions must be >= 1, got 0"),
+    (_QUICK + "metric = mean\n" + _PLAN_TAIL, "metric must be best_cost or runtime, got 'mean'"),
+    (_QUICK + _PLAN_TAIL.replace("seed=1", "seed=1 lo=5 hi=1"),
+     "empty coordinate range: lo=5.0 > hi=1.0"),
+], ids=["repetitions", "metric", "lo above hi"])
+def test_bench_cli_rejects_bad_header_and_instance_values(capsys, tmp_path, text, message):
+    plan, rows = tmp_path / "plan.txt", tmp_path / "rows.csv"
+    plan.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan), "--out-csv", str(rows))
+    assert code == 2
+    assert f"error: {message}" in err
     assert out == "" and not rows.exists()
 
 

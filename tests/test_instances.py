@@ -19,6 +19,7 @@ from tsplab import (
     parse_instance,
     render_instance,
 )
+from tsplab.cli import main
 
 from ._oracles import reference_geo_distance
 
@@ -140,6 +141,42 @@ def test_parse_weight_count_mismatch():
     text = EXPLICIT_FILE.replace("0 5\n5 0\n", "0 5\n5\n")
     with pytest.raises(CountMismatch):
         parse_instance(text)
+
+
+MALFORMED_FILES = {
+    "dimension not an integer": (TRIANGLE_FILE.replace("DIMENSION : 3", "DIMENSION : three"),
+                                 MissingField, "DIMENSION not an integer: three"),
+    "no weight type": (TRIANGLE_FILE.replace("EDGE_WEIGHT_TYPE : EUC_2D\n", ""),
+                       MissingField, "missing EDGE_WEIGHT_TYPE"),
+    "no coordinate section": (TRIANGLE_FILE.replace("NODE_COORD_SECTION\n", ""),
+                              MissingField, "missing NODE_COORD_SECTION"),
+    "two-field coordinate line": (TRIANGLE_FILE.replace("2 3 0\n", "2 3\n"),
+                                  CountMismatch, "coordinate line too short: '2 3'"),
+    "explicit without format": (EXPLICIT_FILE.replace("EDGE_WEIGHT_FORMAT : FULL_MATRIX\n", ""),
+                                MissingField, "missing EDGE_WEIGHT_FORMAT"),
+    "explicit without weights": (EXPLICIT_FILE.split("EDGE_WEIGHT_SECTION")[0],
+                                 MissingField, "missing EDGE_WEIGHT_SECTION"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_raises_typed_error_and_cli_exits_2(case, tmp_path, capsys):
+    text, error, message = MALFORMED_FILES[case]
+    with pytest.raises(error) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.tsp"
+    path.write_text(text, encoding="utf-8")
+    code = main(["solve", "--instance", str(path), "--algorithm", "christofides"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_parse_skips_blank_lines():
+    spaced = TRIANGLE_FILE.replace("\n", "\n\n   \n")
+    assert parse_instance(spaced) == parse_instance(TRIANGLE_FILE)
 
 
 def test_build_345_triangle(tri345):

@@ -269,6 +269,20 @@ def test_clock_starts_before_the_matrix_is_read(entry):
     assert result.trajectory[0][0] >= 0.05
 
 
+def test_branch_and_bound_clock_covers_the_matrix_read():
+    assert branch_and_bound(_SlowMatrix(PIN_MATRICES["rnd12"]()), node_cap=10).elapsed >= 0.05
+
+
+@pytest.mark.parametrize("solve, params", [
+    (solve_ga, GaParams(6, 0.1, 1, 0.3)),
+    (solve_sa, SaParams(12.0, 0.05, 0.99)),
+    (solve_sarsa, _RL_P),
+], ids=["ga", "sa", "sarsa"])
+def test_unknown_variant_is_refused(solve, params):
+    with pytest.raises(ValueError, match="variant: 'bogus'"):
+        solve(PIN_MATRICES["rnd12"](), params, SolveBudget(max_evaluations=10), 0, variant="bogus")
+
+
 @st.composite
 def _aco_pick_case(draw):
     n = draw(st.integers(1, 9))
