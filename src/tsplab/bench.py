@@ -22,6 +22,7 @@ from .errors import ZeroBaseline
 from .instances import ROUNDING_MODES, Instance, build_distance_matrix, generate_random_instance, parse_instance
 from .seeding import stable_hash
 from .solvers import SolveBudget, get_algorithm, resolve_config, run_solver
+from .tours import costs_agree
 
 CSV_HEADER = "algorithm,variant,config_id,instance,n,seed,rep,best_cost,elapsed_s,evaluations,nodes_expanded,status"
 
@@ -40,9 +41,14 @@ def time_limit_for(n: int, time_scale: float) -> int:
 
 
 def compute_gap(baseline_cost: float, variant_cost: float) -> float:
-    """Percent improvement over the baseline; positive means variant better."""
+    """Percent improvement over the baseline; positive means variant better.
+
+    Costs within run_solver's re-costing tolerance (costs_agree) give 0.0: two
+    variants that found one tour may have summed it from different starts."""
     if baseline_cost <= 0:
         raise ZeroBaseline(f"baseline cost must be positive, got {baseline_cost}")
+    if costs_agree(baseline_cost, variant_cost):
+        return 0.0
     return 100.0 * (baseline_cost - variant_cost) / baseline_cost
 
 

@@ -50,7 +50,12 @@ class EmptyInput(TsplabError):
 
 
 class NonFiniteInput(TsplabError):
-    """An input vector contains NaN or infinity."""
+    """An input vector or distance matrix contains NaN or infinity."""
+
+
+class NonNumericToken(TsplabError):
+    """A coordinate or weight in a TSPLIB file is not a number; names the
+    section, the line and the token."""
 
 
 class UnknownAlgorithm(TsplabError):

@@ -17,6 +17,7 @@ from .errors import (
     NegativeDistance,
     NoCoordinates,
     NonFiniteInput,
+    NonNumericToken,
     NonSymmetric,
     UnsupportedFormat,
 )
@@ -59,9 +60,9 @@ def parse_instance(text: str) -> Instance:
     are skipped; unsupported weight types/formats raise UnsupportedFormat.
     """
     header: dict[str, str] = {}
-    sections: dict[str, list[str]] = {}
+    sections: dict[str, list[tuple[int, str]]] = {}  # (line number, line)
     current_section = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -79,7 +80,7 @@ def parse_instance(text: str) -> Instance:
             sections.setdefault(line, [])
             continue
         if current_section is not None:
-            sections[current_section].append(line)
+            sections[current_section].append((lineno, line))
         # Stray non-numeric junk outside sections is ignored.
 
     if "DIMENSION" not in header:
@@ -106,11 +107,12 @@ def parse_instance(text: str) -> Instance:
                 f"{len(lines)} coordinate lines for dimension {dimension}"
             )
         coords = []
-        for line in lines:
+        for lineno, line in lines:
             parts = line.split()
             if len(parts) < 3:
                 raise CountMismatch(f"coordinate line too short: {line!r}")
-            coords.append((float(parts[1]), float(parts[2])))
+            coords.append((_number(parts[1], "NODE_COORD_SECTION", lineno),
+                           _number(parts[2], "NODE_COORD_SECTION", lineno)))
         return Instance(name=name, dimension=dimension, kind=kind, coords=coords)
 
     fmt = header.get("EDGE_WEIGHT_FORMAT")
@@ -121,9 +123,17 @@ def parse_instance(text: str) -> Instance:
     lines = sections.get("EDGE_WEIGHT_SECTION")
     if not lines:
         raise MissingField("missing EDGE_WEIGHT_SECTION")
-    values = [float(tok) for line in lines for tok in line.split()]
+    values = [_number(tok, "EDGE_WEIGHT_SECTION", lineno)
+              for lineno, line in lines for tok in line.split()]
     matrix = _weights_to_matrix(values, dimension, fmt)
     return Instance(name=name, dimension=dimension, kind="EXPLICIT", matrix=matrix)
+
+
+def _number(token: str, section: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise NonNumericToken(f"{section} line {lineno}: {token!r} is not a number") from None
 
 
 def _weights_to_matrix(values: list[float], n: int, fmt: str) -> list[list[float]]:

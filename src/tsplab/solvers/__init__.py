@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..errors import InvalidTour, UnknownAlgorithm, UnknownParameter
 from ..instances import Instance
-from ..tours import tour_length, validate_tour
+from ..tours import costs_agree, tour_length, validate_tour
 from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
 from .aco import AcoParams, solve_aco
 from .alns import AlnsParams, solve_alns
@@ -105,7 +105,7 @@ def run_solver(
     if not check.ok:
         raise InvalidTour(f"{algorithm} returned an invalid tour: {check.problem}")
     cost = tour_length(result.best, matrix)
-    if abs(cost - result.best_cost) > 1e-9 * max(1.0, abs(cost)):
+    if not costs_agree(cost, result.best_cost):
         raise InvalidTour(f"{algorithm} reported cost {result.best_cost} != recomputed {cost}")
     result.best_cost = cost
     return result

@@ -35,7 +35,8 @@ class AcoParams:
 
 
 def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, dist, rows = start_run(d, b)
+    tracker, dist = start_run(d, b)
+    rows = dist.tolist()
     n = len(d)
     rng = random.Random(seed)
 

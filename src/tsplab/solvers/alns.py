@@ -33,7 +33,8 @@ class AlnsParams:
 
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix = start_run(d, b)
+    dist = matrix.tolist()
     n = len(dist)
     rng = random.Random(seed)
 

@@ -11,7 +11,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from ..errors import NoSuchColumn, UnknownAlgorithm
+from ..errors import NonFiniteInput, NoSuchColumn, UnknownAlgorithm
 from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
@@ -123,13 +123,16 @@ class RunTracker:
         )
 
 
-def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray, list[list[float]]]:
-    """Start the run's clock, then read d once: (tracker, float array, its rows).
+def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray]:
+    """Start the run's clock, then read d once as a float array: (tracker, array).
 
-    elapsed, the time budget and the trajectory times all cover the read."""
+    elapsed, the time budget and the trajectory times all cover the read. A
+    NaN or infinite entry raises NonFiniteInput before any search starts."""
     tracker = RunTracker(budget)
     matrix = np.asarray(d, dtype=float)
-    return tracker, matrix, matrix.tolist()
+    if not np.isfinite(matrix).all():
+        raise NonFiniteInput("distance matrix contains NaN or infinity")
+    return tracker, matrix
 
 
 def operator_score(new_best: bool, improved: bool) -> float:

@@ -49,7 +49,8 @@ def branch_and_bound(
 ) -> SolveResult:
     if variant not in BB_VARIANTS:
         raise ValueError(f"unknown branch and bound variant: {variant!r}")
-    tracker, matrix, dist = start_run(d, None)
+    tracker, matrix = start_run(d, None)
+    dist = matrix.tolist()
     n = len(dist)
     min1, min2 = bound_cache(dist)
     nn_tour = nearest_neighbor_tour(matrix, start=0)

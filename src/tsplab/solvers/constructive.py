@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import DegenerateInput, NoCoordinates
 from ..instances import Instance
 from ..tours import cheapest_insertion
-from .base import RunTracker, SolveResult, SolverSpec
+from .base import SolveResult, SolverSpec, start_run
 
 _EPS = 1e-12
 
@@ -145,10 +145,11 @@ def convex_hull_tour(inst: Instance, d) -> list[int]:
 
 
 def _timed(construct):
-    """A SolverSpec run function that times one construction and evaluates its tour."""
+    """A SolverSpec run function that times one construction and evaluates its
+    tour; the matrix is read and checked through start_run."""
     def run(inst, d, params, variant, budget, seed) -> SolveResult:
-        tracker = RunTracker(budget)
-        tracker.evaluate(construct(inst, d), d)
+        tracker, matrix = start_run(d, budget)
+        tracker.evaluate(construct(inst, matrix), matrix)
         return tracker.result()
     return run
 

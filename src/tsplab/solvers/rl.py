@@ -6,13 +6,19 @@ by its largest entry, so every reward lies in [-1, 0]. The terminal step
 folds in the closing-edge reward and bootstraps nothing. Training returns
 the best tour seen across episodes; a final greedy rollout is offered to the
 tracker as well so it lands in the trajectory whenever it improves.
+
+The Q table is one n x n float array. A greedy pick over many open cities is
+one masked numpy argmax; scalar reads and writes, and greedy picks over few
+open cities, go through per-row memoryviews at Python-float speed. Both
+picks return the same city, so the crossover never changes a seeded run.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,6 +32,9 @@ _TINY = 1e-12
 # Boltzmann temperature anneals linearly across episodes over this range.
 BOLTZMANN_T_START = 1.0
 BOLTZMANN_T_END = 0.1
+# A greedy pick over fewer open cities than this scans the Q row in Python;
+# over more, one masked numpy argmax is faster. Both return the same city.
+ARRAY_PICK_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,15 @@ def boltzmann_probabilities(q, temperature: float) -> np.ndarray:
         raise NonFiniteInput("preference vector contains NaN or infinity")
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
+    return _softmax(arr, temperature)
+
+
+def _softmax(arr: np.ndarray, temperature: float) -> np.ndarray:
+    """boltzmann_probabilities' arithmetic, for a non-empty finite float array.
+    The reductions are the ufunc calls behind ndarray.max() and .sum()."""
     scaled = arr / temperature
-    shifted = scaled - scaled.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    exp = np.exp(scaled - np.maximum.reduce(scaled))
+    return exp / np.add.reduce(exp)
 
 
 def boltzmann_temperature(episode: int, total_episodes: int) -> float:
@@ -110,63 +124,92 @@ SARSA_SPEC = SolverSpec(
 
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b)
-    n = len(dist)
+    tracker, matrix = start_run(d, b)
+    n = len(matrix)
     scale = max(float(matrix.max()), _TINY)
+    # Per-row memoryviews of the arrays read and write Python floats at about
+    # list speed: scalar traffic builds no numpy scalar and no n x n list.
+    dist = [memoryview(row) for row in matrix]
+    q = np.zeros((n, n))
+    q_rows = [memoryview(row) for row in q]
+    # The open cities, kept twice: ascending in `unvisited`, and as a mask.
+    is_open = np.empty(n, dtype=bool)
+    open_view = memoryview(is_open)
     rng = random.Random(seed)
-    q = [[0.0] * n for _ in range(n)]
-    lr, df = p.learning_rate, p.discount
+    getrandbits = rng.getrandbits
+    lr, df, epsilon = p.learning_rate, p.discount, p.epsilon
 
     for episode in range(p.episodes):
         temperature = boltzmann_temperature(episode, p.episodes) if boltzmann else None
-        start = rng.randrange(n)
-        unvisited = [c for c in range(n) if c != start]
+        start = randbelow(getrandbits, n)  # rng.randrange(n)'s draw
+        unvisited = list(range(n))
+        del unvisited[start]
+        is_open.fill(True)
+        open_view[start] = False
         tour = [start]
-        s = start
-        a = _select(q[s], unvisited, p.epsilon, temperature, rng)[0] if unvisited else None
+        # Each step picks a from s, then updates the previous step's Q(prev, s)
+        # from row s at `target`: the pick itself (SARSA) or the greedy pick
+        # (Q-learning), which holds the row's maximum over the open cities.
+        prev, s, r = None, start, 0.0
         while unvisited:
-            unvisited.remove(a)
-            tour.append(a)
-            r = -(dist[s][a] / scale)
-            if not unvisited:
-                # Terminal: fold in the closing edge, bootstrap nothing.
-                q[s][a] = q_update(q[s][a], lr, r - dist[a][start] / scale, 0.0, 0.0)
-                break
-            a_next, greedy = _select(q[a], unvisited, p.epsilon, temperature, rng)
-            if on_policy or greedy:
-                bootstrap = q[a][a_next]  # a greedy pick holds the row's maximum
+            if temperature is not None:
+                a = target = _boltzmann_pick(q, s, unvisited, is_open, temperature, rng)
+            elif rng.random() < epsilon:
+                a = target = unvisited[randbelow(getrandbits, len(unvisited))]
+                if not on_policy and prev is not None:
+                    target = _greedy(q, q_rows, s, unvisited, is_open)
             else:
-                bootstrap = max(map(q[a].__getitem__, unvisited))
-            q[s][a] = q_update(q[s][a], lr, r, df, bootstrap)
-            s, a = a, a_next
+                a = target = _greedy(q, q_rows, s, unvisited, is_open)
+            if prev is not None:
+                # q_update, inlined: this runs once per step.
+                row = q_rows[prev]
+                value = row[s]
+                row[s] = value + lr * (r + df * q_rows[s][target] - value)
+            del unvisited[bisect_left(unvisited, a)]
+            open_view[a] = False
+            tour.append(a)
+            prev, s, r = s, a, -(dist[s][a] / scale)
+        if prev is not None:
+            # Terminal: fold in the closing edge, bootstrap nothing.
+            q_rows[prev][s] = q_update(q_rows[prev][s], lr, r - dist[s][start] / scale, 0.0, 0.0)
         tracker.evaluate(tour, dist)
         if tracker.out_of_budget():
             break
 
     if not tracker.out_of_budget():
-        tracker.evaluate(_greedy_rollout(q, n), dist)
+        tracker.evaluate(_greedy_rollout(q, q_rows), dist)
     return tracker.result()
 
 
-def _select(row, unvisited, epsilon, temperature, rng) -> tuple[int, bool]:
-    """Next city from Q row `row`, and whether the pick was greedy."""
-    if temperature is not None:
-        probs = boltzmann_probabilities(list(map(row.__getitem__, unvisited)), temperature)
-        return unvisited[roulette(list(accumulate(probs.tolist())), rng, 1.0)], False
-    if rng.random() < epsilon:
-        return unvisited[randbelow(rng.getrandbits, len(unvisited))], False
-    return _greedy(row, unvisited), True
+def _boltzmann_pick(q, s, unvisited, is_open, temperature, rng) -> int:
+    """A city drawn by the Boltzmann probabilities of the open Q values from s.
+    unvisited lists the open cities in ascending order; is_open masks them."""
+    # Rewards are finite and bounded, so Q values stay finite: no check here.
+    probs = _softmax(q[s][is_open], temperature)
+    # cumsum adds in sequence, as Python adds running sums.
+    return unvisited[roulette(probs.cumsum(), rng, 1.0)]
 
 
-def _greedy(row, unvisited) -> int:
-    # unvisited ascends, so the first maximum is the lowest index on ties.
-    vals = list(map(row.__getitem__, unvisited))
-    return unvisited[vals.index(max(vals))]
+def _greedy(q, q_rows, s, unvisited, is_open) -> int:
+    """The open city with the highest Q value from s; the lowest index on ties."""
+    m = len(unvisited)
+    if m == 1:  # also: itemgetter of one key returns a value, not a tuple
+        return unvisited[0]
+    if m < ARRAY_PICK_MIN:
+        # unvisited ascends, so the first maximum is the lowest index on ties.
+        vals = itemgetter(*unvisited)(q_rows[s])
+        return unvisited[vals.index(max(vals))]
+    return int(np.where(is_open, q[s], -np.inf).argmax())  # argmax: the first maximum too
 
 
-def _greedy_rollout(q, n) -> list[int]:
+def _greedy_rollout(q, q_rows) -> list[int]:
+    n = len(q)
     tour, unvisited = [0], list(range(1, n))
+    is_open = np.ones(n, dtype=bool)
+    is_open[0] = False
     while unvisited:
-        tour.append(_greedy(q[tour[-1]], unvisited))
-        unvisited.remove(tour[-1])
+        city = _greedy(q, q_rows, tour[-1], unvisited, is_open)
+        tour.append(city)
+        del unvisited[bisect_left(unvisited, city)]
+        is_open[city] = False
     return tour

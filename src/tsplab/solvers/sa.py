@@ -66,7 +66,8 @@ def solve_sa(
 ) -> SolveResult:
     if variant not in SA_VARIANTS:
         raise ValueError(f"unknown SA variant: {variant!r}")
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix = start_run(d, b)
+    dist = matrix.tolist()
     n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits

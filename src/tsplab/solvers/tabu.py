@@ -40,7 +40,8 @@ def move_key(order, i: int, j: int) -> frozenset:
 
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix = start_run(d, b)
+    dist = matrix.tolist()
     n = len(dist)
 
     current = nearest_neighbor_tour(matrix, start=0)

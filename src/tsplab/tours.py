@@ -56,6 +56,13 @@ def tour_length(order, d) -> float:
     return float(total)
 
 
+def costs_agree(a: float, b: float) -> bool:
+    """Whether b is a's cost up to summation order: within 1e-9 relative to a,
+    or 1e-9 absolute below 1. One cycle summed from another start or in the
+    other direction can differ in the last bits."""
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
 def nearest_neighbor_tour(d, start: int = 0) -> list[int]:
     """Greedy construction from `start`; ties go to the lowest index."""
     n = len(d)

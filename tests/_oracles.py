@@ -305,3 +305,79 @@ def reference_most_shared_cost(costs):
     for c in costs:
         counts[c] = counts.get(c, 0) + 1
     return max(counts.items(), key=lambda kv: kv[1])
+
+
+def reference_rl_train(d, learning_rate, discount, epsilon, episodes, max_evaluations, seed,
+                       on_policy, boltzmann):
+    """Tabular Q-learning (on_policy=False) or SARSA as RL trained before its
+    Q table became one array: a list-of-lists Q table, the open cities as an
+    ascending list, the greedy pick as the first maximum over that list, the
+    Boltzmann pick as the first running sum of the probabilities above one
+    draw. Stops on the evaluation cap only; returns (best, best_cost,
+    evaluations, trajectory costs)."""
+    import random
+
+    d = np.asarray(d, dtype=float)
+    dist = d.tolist()
+    n = len(dist)
+    scale = max(float(d.max()), 1e-12)
+    rng = random.Random(seed)
+    q = [[0.0] * n for _ in range(n)]
+    record = {"best": None, "best_cost": float("inf"), "evaluations": 0, "costs": []}
+
+    def evaluate(tour):
+        cost, prev = 0.0, tour[-1]
+        for city in tour:  # summed in tours.tour_length's order
+            cost += dist[prev][city]
+            prev = city
+        record["evaluations"] += 1
+        if cost < record["best_cost"]:
+            record.update(best=list(tour), best_cost=cost)
+            record["costs"].append(cost)
+
+    def select(row, unvisited, temperature):
+        if temperature is not None:
+            scaled = np.asarray([row[c] for c in unvisited]) / temperature
+            exp = np.exp(scaled - scaled.max())
+            probs = (exp / exp.sum()).tolist()
+            return reference_boltzmann_pick(probs, unvisited, rng.random()), False
+        if rng.random() < epsilon:
+            return unvisited[rng.randrange(len(unvisited))], False
+        return reference_greedy_pick(row, unvisited), True
+
+    def update(value, reward, bootstrap):
+        return value + learning_rate * (reward + discount * bootstrap - value)
+
+    for episode in range(episodes):
+        temperature = None  # annealed linearly from 1.0 to 0.1 across the episodes
+        if boltzmann:
+            temperature = 1.0 if episodes <= 1 else 1.0 + (0.1 - 1.0) * (episode / (episodes - 1))
+        start = rng.randrange(n)
+        unvisited = [c for c in range(n) if c != start]
+        tour, s = [start], start
+        a = select(q[s], unvisited, temperature)[0] if unvisited else None
+        while unvisited:
+            unvisited.remove(a)
+            tour.append(a)
+            r = -(dist[s][a] / scale)
+            if not unvisited:
+                q[s][a] = update(q[s][a], r - dist[a][start] / scale, 0.0)
+                break
+            a_next, greedy = select(q[a], unvisited, temperature)
+            if on_policy or greedy:
+                bootstrap = q[a][a_next]
+            else:
+                bootstrap = max(q[a][c] for c in unvisited)
+            q[s][a] = update(q[s][a], r, bootstrap)
+            s, a = a, a_next
+        evaluate(tour)
+        if record["evaluations"] >= max_evaluations:
+            break
+
+    if record["evaluations"] < max_evaluations:
+        tour, unvisited = [0], list(range(1, n))
+        while unvisited:
+            tour.append(reference_greedy_pick(q[tour[-1]], unvisited))
+            unvisited.remove(tour[-1])
+        evaluate(tour)
+    return record["best"], record["best_cost"], record["evaluations"], record["costs"]

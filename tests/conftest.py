@@ -46,6 +46,7 @@ PIN_MATRICES = {
     "rnd3": lambda: random_matrix(3, 3),
     "grid3x2": lambda: grid_matrix(3, copies=2),
     "rnd12": lambda: random_matrix(12, 3),
+    "rnd1000": lambda: random_matrix(1000, 5),
 }
 
 

@@ -308,6 +308,13 @@ class TestGapTable:
         assert (rows["flat"]["baseline_median"], rows["flat"]["variant_median"]) == (0.0, 0.0)
         assert rows["x"]["gap_percent"] == compute_gap(100.0, 90.0)
 
+    def test_medians_of_one_tour_read_from_two_starts_have_no_gap(self):
+        # The two medians of one tour, summed from different starts.
+        records = [_row(v, r, c) for v, c in (("baseline", 247.97166328923726),
+                                              ("hybrid_r1", 247.97166328923728))
+                   for r in range(3)]
+        assert [row["gap_percent"] for row in gap_table(records)] == [0.0]
+
     def test_negative_baseline_median_still_raises(self):
         records = [_row(v, r, c) for v, c in (("baseline", -5.0), ("hybrid_r1", -6.0))
                    for r in range(3)]

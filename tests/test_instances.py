@@ -12,6 +12,7 @@ from tsplab import (
     MissingField,
     NegativeDistance,
     NonFiniteInput,
+    NonNumericToken,
     NonSymmetric,
     UnsupportedFormat,
     build_distance_matrix,
@@ -303,6 +304,19 @@ def test_parsed_nan_coordinate_rejected_at_matrix():
     inst = parse_instance(TRIANGLE_FILE.replace("2 3 0", "2 nan 0"))
     with pytest.raises(NonFiniteInput, match="tri"):
         build_distance_matrix(inst)
+
+
+@pytest.mark.parametrize("text, message", [
+    (TRIANGLE_FILE.replace("2 3 0", "1 a 0"), "NODE_COORD_SECTION line 7: 'a' is not a number"),
+    (EXPLICIT_FILE.replace("5 0", "5 0x"), "EDGE_WEIGHT_SECTION line 7: '0x' is not a number"),
+], ids=["coordinate", "weight"])
+def test_non_numeric_token_is_a_typed_error(text, message, tmp_path, capsys):
+    with pytest.raises(NonNumericToken, match=message):
+        parse_instance(text)
+    path = tmp_path / "bad.tsp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", "--instance", str(path), "--algorithm", "christofides"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_generate_deterministic():

@@ -8,20 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsplab import (
+    ALGORITHMS,
     AcoParams,
     AlnsParams,
     GaParams,
+    NonFiniteInput,
     RlParams,
     SaParams,
     SolveBudget,
     TabuParams,
     branch_and_bound,
+    build_distance_matrix,
     christofides,
+    generate_random_instance,
     lundy_mees_beta,
     lundy_mees_step,
     metropolis_accept,
     nearest_neighbor_tour,
     nn_seed_count,
+    run_solver,
     solve_aco,
     solve_alns,
     solve_ga,
@@ -244,6 +249,29 @@ def test_entry_points_read_rows_like_the_array(entry):
         return (result.best, result.best_cost, result.evaluations, result.nodes_expanded)
 
     assert outcome(_ENTRY_CALLS[entry](d.tolist())) == outcome(_ENTRY_CALLS[entry](d))
+
+
+# The solve function each algorithm's spec runs; christofides and convex_hull
+# are reached through run_solver only.
+_SOLVE_CALLS = {
+    "aco": _ENTRY_CALLS["aco"], "ga": _ENTRY_CALLS["ga"], "alns": _ENTRY_CALLS["alns"],
+    "tabu": _ENTRY_CALLS["tabu"], "sa": _ENTRY_CALLS["sa"],
+    "qlearning": _ENTRY_CALLS["qlearning"], "sarsa": _ENTRY_CALLS["sarsa"],
+    "branch_and_bound": _ENTRY_CALLS["bb"],
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_non_finite_matrix_is_refused_before_any_run(algorithm, bad):
+    inst = generate_random_instance(6, 0)
+    d = build_distance_matrix(inst)
+    d[1, 2] = d[2, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        run_solver(algorithm, inst, d, None, "baseline", SolveBudget(max_evaluations=50), 0)
+    if algorithm in _SOLVE_CALLS:
+        with pytest.raises(NonFiniteInput):
+            _SOLVE_CALLS[algorithm](d)
 
 
 class _SlowMatrix:

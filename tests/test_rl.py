@@ -1,5 +1,7 @@
+import dataclasses
+import functools
 import math
-import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,9 +20,15 @@ from tsplab import (
     tour_length,
     validate_tour,
 )
-from tsplab.solvers.rl import _greedy_rollout, _select, boltzmann_temperature
+from tsplab.solvers import rl
+from tsplab.solvers.rl import _boltzmann_pick, _greedy, _greedy_rollout, boltzmann_temperature
 
-from ._oracles import brute_force_optimum, reference_boltzmann_pick, reference_greedy_pick
+from ._oracles import (
+    brute_force_optimum,
+    reference_boltzmann_pick,
+    reference_greedy_pick,
+    reference_rl_train,
+)
 from .conftest import PIN_MATRICES, random_matrix, tour_digest
 
 PARAMS = RlParams(learning_rate=0.44, discount=0.97, epsilon=0.09, episodes=4266)
@@ -167,12 +175,21 @@ _Q_VALUE = st.sampled_from([0.0, -0.0, -0.5, -1.0, -1e-300]) | st.floats(-2.0, 0
 
 @st.composite
 def _rl_pick_case(draw):
-    n = draw(st.integers(2, 12))
+    # n reaches past ARRAY_PICK_MIN, so both greedy branches are drawn.
+    n = draw(st.integers(2, 40))
     row = draw(st.lists(_Q_VALUE, min_size=n, max_size=n))
     size = draw(st.sampled_from([1, n]) | st.integers(1, n))  # one-city sets included
     unvisited = sorted(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size,
                                      unique=True)))
     return row, unvisited
+
+
+def _pick_state(row, unvisited):
+    """A one-row Q table holding row, its memoryview, and the open-city mask."""
+    q = np.array([row], dtype=float)
+    is_open = np.zeros(len(row), dtype=bool)
+    is_open[unvisited] = True
+    return q, [memoryview(q[0])], is_open
 
 
 def _sign(x):
@@ -183,12 +200,16 @@ def _sign(x):
 @settings(max_examples=300, deadline=None)
 def test_greedy_pick_matches_reference(case):
     row, unvisited = case
-    city, greedy = _select(row, unvisited, 0.0, None, random.Random(0))
-    assert greedy and city == reference_greedy_pick(row, unvisited)
-    # Q-learning bootstraps from row[city] after a greedy pick: it must be the
-    # element max() over the unvisited values returns, sign of zero included.
-    best = max(row[c] for c in unvisited)
-    assert row[city] == best and _sign(row[city]) == _sign(best)
+    q, q_rows, is_open = _pick_state(row, unvisited)
+    # Force the masked numpy argmax, then the Python scan: both give the reference.
+    for crossover in (0, len(unvisited) + 1):
+        with patch.object(rl, "ARRAY_PICK_MIN", crossover):
+            city = _greedy(q, q_rows, 0, unvisited, is_open)
+        assert city == reference_greedy_pick(row, unvisited)
+        # Q-learning bootstraps from row[city] after a greedy pick: it must be the
+        # element max() over the unvisited values returns, sign of zero included.
+        best = max(row[c] for c in unvisited)
+        assert row[city] == best and _sign(row[city]) == _sign(best)
 
 
 @given(_rl_pick_case(), st.floats(0.1, 1.0), st.data())
@@ -199,19 +220,22 @@ def test_boltzmann_pick_matches_reference(case, temperature, data):
     # r anywhere in [0, 1), or exactly on a running sum, where `<` matters
     sums = np.cumsum(probs).tolist()
     r = data.draw(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(sums).filter(lambda x: x < 1.0))
-    city, greedy = _select(row, unvisited, 0.5, temperature, _FixedDraw(r))
-    assert not greedy and city == reference_boltzmann_pick(probs, unvisited, r)
+    q, _, is_open = _pick_state(row, unvisited)
+    city = _boltzmann_pick(q, 0, unvisited, is_open, temperature, _FixedDraw(r))
+    assert city == reference_boltzmann_pick(probs, unvisited, r)
 
 
-@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(_Q_VALUE, min_size=n, max_size=n),
-                                                    min_size=n, max_size=n)))
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(_Q_VALUE, min_size=n * n, max_size=n * n)))
 @settings(max_examples=100, deadline=None)
-def test_greedy_rollout_matches_reference(q):
-    tour, unvisited = [0], list(range(1, len(q)))
+def test_greedy_rollout_matches_reference(values):
+    n = math.isqrt(len(values))
+    q = [values[i * n:(i + 1) * n] for i in range(n)]
+    tour, unvisited = [0], list(range(1, n))
     while unvisited:
         tour.append(reference_greedy_pick(q[tour[-1]], unvisited))
         unvisited.remove(tour[-1])
-    assert _greedy_rollout(q, len(q)) == tour
+    table = np.array(q, dtype=float)
+    assert _greedy_rollout(table, [memoryview(row) for row in table]) == tour
 
 
 # Recorded at the commit before the greedy, bootstrap and Boltzmann picks read
@@ -249,3 +273,70 @@ def test_rl_capped_runs_pinned(solver, instance, cap, best_cost, evaluations, di
     result = _RL_PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
     assert (result.best_cost, result.evaluations) == (best_cost, evaluations)
     assert tour_digest(result.best) == digest
+
+
+# Recorded at the commit before the Q table became one array. grid3x2 puts
+# two cities on each grid point: zero distances give -0.0 rewards and exact
+# Q-value ties. The rnd1000 runs are 2 episodes, as in a plan with episodes=2.
+_RL_SOLVE = {
+    "qlearning": solve_qlearning,
+    "sarsa": solve_sarsa,
+    "sarsa-b": functools.partial(solve_sarsa, variant="boltzmann_o1"),
+}
+
+
+@pytest.mark.parametrize("solver,instance,episodes,best_cost,evaluations,digest,costs", [
+    ("qlearning", "grid3x2", 40, 11.414213562373096, 41, "e3568571a8882f3b",
+     [28.01533972186464, 27.186912597118447, 24.128990204491963, 23.186912597118447,
+      20.242640687119287, 16.53663105724556, 11.414213562373096]),
+    ("sarsa", "grid3x2", 40, 11.23606797749979, 41, "ed2fe4c0c24889a7",
+     [30.24483498974493, 25.365058181991753, 25.186912597118447, 22.72792206135786,
+      19.543203766865055, 16.714776642118863, 16.06449510224598, 15.300563079745771,
+      14.485281374238571, 11.23606797749979]),
+    ("sarsa-b", "grid3x2", 40, 21.478708664619077, 41, "9c554014a7e0d079",
+     [30.422980574618236, 27.36505818199175, 24.892922226992173, 24.60112615949154,
+      24.128990204491963, 22.714776642118863, 21.478708664619077]),
+    ("qlearning", "rnd1000", 2, 52031.94123898616, 3, "910f5ea484923700", [52031.94123898616]),
+    ("sarsa", "rnd1000", 2, 52570.12929521089, 3, "2eebdf89c2014594", [52570.12929521089]),
+    ("sarsa-b", "rnd1000", 2, 52613.83239565354, 3, "3ff90006bb55445f",
+     [52784.985799014255, 52613.83239565354]),
+])
+def test_rl_runs_pinned_with_trajectories(solver, instance, episodes, best_cost, evaluations,
+                                          digest, costs):
+    p = dataclasses.replace(_Q_PIN if solver == "qlearning" else _SARSA_PIN, episodes=episodes)
+    result = _RL_SOLVE[solver](PIN_MATRICES[instance](), p, SolveBudget(max_evaluations=1000), 7)
+    assert (result.best_cost, result.evaluations) == (best_cost, evaluations)
+    assert tour_digest(result.best) == digest
+    assert [c for _, c in result.trajectory] == costs
+
+
+@st.composite
+def _rl_run_case(draw):
+    n = draw(st.integers(2, 40))
+    # Integer points in a small square: repeated points (zero distances) and
+    # exactly equal distances are common.
+    side = draw(st.sampled_from([2, 4, 50]))
+    pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)), min_size=n, max_size=n))
+    d = np.array([[math.dist(p, q) for q in pts] for p in pts])
+    lr = draw(st.sampled_from([1.0, 0.44]) | st.floats(0.01, 1.0))
+    df = draw(st.sampled_from([0.0, 0.97]) | st.floats(0.0, 0.99))
+    epsilon = draw(st.sampled_from([0.0, 1.0, 0.09]) | st.floats(0.0, 1.0))
+    episodes = draw(st.integers(1, 25))
+    cap = draw(st.integers(1, 30))
+    mode = draw(st.sampled_from(["qlearning", "sarsa", "boltzmann_o1"]))
+    return d, RlParams(lr, df, epsilon, episodes), cap, draw(st.integers(0, 2**32)), mode
+
+
+@given(_rl_run_case())
+@settings(max_examples=150, deadline=None)
+def test_rl_training_matches_the_list_reference(case):
+    d, p, cap, seed, mode = case
+    budget = SolveBudget(max_evaluations=cap)
+    if mode == "qlearning":
+        result = solve_qlearning(d, p, budget, seed)
+    else:
+        result = solve_sarsa(d, p, budget, seed, variant="baseline" if mode == "sarsa" else mode)
+    got = (result.best, result.best_cost, result.evaluations, [c for _, c in result.trajectory])
+    assert got == reference_rl_train(d, p.learning_rate, p.discount, p.epsilon, p.episodes, cap,
+                                     seed, on_policy=mode != "qlearning",
+                                     boltzmann=mode == "boltzmann_o1")
