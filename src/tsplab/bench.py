@@ -155,26 +155,18 @@ def _check_keys(given, valid, required, context: str) -> None:
 
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse the plain-text plan format (key = value header plus two lists)."""
-    header: dict[str, str] = {}
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    # The header (every line before the first [section]) is read first, so its errors win.
+    start = next((i for i, line in enumerate(lines) if line.startswith("[")), len(lines))
+    header = _parse_kv(lines[:start], "plan header")
     instances: list[InstanceSpec] = []
     algorithms: list[AlgorithmSpec] = []
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in lines[start:]:
         if line.startswith("["):
             section = line.strip("[]").lower()
             if section not in ("instances", "algorithms"):
                 raise ValueError(f"unknown plan section [{section}]")
-            continue
-        if section is None:
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise ValueError(f"expected key = value before sections, got {line!r}")
-            if key in header:
-                raise ValueError(f"plan header: repeated key {key!r}")
-            header[key] = value
         elif section == "instances":
             instances.append(_parse_instance_line(line))
         else:
@@ -202,7 +194,7 @@ def _parse_kv(tokens: list[str], context: str) -> dict[str, str]:
             raise ValueError(f"expected key=value in {context}, got {tok!r}")
         if key in out:
             raise ValueError(f"repeated key {key!r} in {context}")
-        out[key] = value
+        out[key] = value.strip()
     return out
 
 

@@ -55,6 +55,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--lo", type=float, default=0.0, help="coordinate lower bound")
     gen.add_argument("--hi", type=float, default=100.0, help="coordinate upper bound")
     gen.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    gen.set_defaults(run=_cmd_gen)
 
     solve = sub.add_parser("solve", help="run one solver on one instance")
     solve.add_argument("--instance", required=True, help="instance file path")
@@ -70,12 +71,14 @@ def _build_parser() -> _Parser:
                        help="optional evaluation budget")
     solve.add_argument("--rounding", default="none", choices=sorted(ROUNDING_MODES),
                        help="distance rounding mode")
+    solve.set_defaults(run=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run an experiment plan")
     bench.add_argument("--plan", required=True, help="plan file path")
     bench.add_argument("--out-csv", default=None, help="write per-run rows here")
     bench.add_argument("--out-json", default=None, help="write the JSON report here")
     bench.add_argument("--workers", type=int, default=1, help="parallel processes")
+    bench.set_defaults(run=_cmd_bench)
 
     tune = sub.add_parser("tune", help="race sampled configurations")
     tune.add_argument("--algorithm", required=True,
@@ -88,34 +91,51 @@ def _build_parser() -> _Parser:
     tune.add_argument("--variant", default="baseline", help="solver variant")
     tune.add_argument("--time-scale", type=float, default=1.0,
                       help="seconds of budget per city")
+    tune.set_defaults(run=_cmd_tune)
 
     gap = sub.add_parser("gap", help="variant-vs-baseline gap table from a CSV")
     gap.add_argument("--csv", required=True, help="results CSV path")
+    gap.set_defaults(run=_cmd_gap)
 
     rp = sub.add_parser("render-prompt", help="render the refinement prompt")
     rp.add_argument("--template", default=None, help="template file (default embedded)")
     rp.add_argument("--name", required=True, help="algorithm name")
     rp.add_argument("--signature", required=True, help="main function signature")
     rp.add_argument("--code-file", required=True, help="file holding the code body")
+    rp.set_defaults(run=_cmd_render_prompt)
 
     return parser
 
 
-def _echo_config(seed, time_scale, rounding) -> None:
-    print(f"config: seed={seed} time_scale={time_scale} rounding={rounding}",
-          file=sys.stderr)
+def _echo_config(**settings) -> None:
+    """Print on stderr the settings the command runs with, and only those."""
+    print("config: " + " ".join(f"{k}={v}" for k, v in settings.items()), file=sys.stderr)
+
+
+def _write_file(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _print_result(payload, out: str | None = None) -> int:
+    """Print the JSON result, indented 2 with one trailing newline, after
+    writing the same text to `out` when one is given."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if out is not None:
+        _write_file(out, text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _cmd_gen(args) -> int:
-    _echo_config(args.seed, "-", "-")
+    _echo_config(seed=args.seed)
     inst = generate_random_instance(args.n, args.seed, (args.lo, args.hi))
     text = render_instance(inst)
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_file(args.out, text)
     return 0
 
 
@@ -128,7 +148,7 @@ def _cmd_solve(args) -> int:
     if args.preset is not None and args.config is not None:
         raise _UsageError("--preset and --config are mutually exclusive")
     _check_variant(args)
-    _echo_config(args.seed, args.time_scale, args.rounding)
+    _echo_config(seed=args.seed, time_scale=args.time_scale, rounding=args.rounding)
     inline = None if args.config is None else _parse_kv(args.config.split(","), "--config")
     config_id, values = resolve_config(args.algorithm, args.variant, args.preset, inline)
     inst = InstanceSpec(source="file", path=args.instance).resolve()
@@ -139,7 +159,7 @@ def _cmd_solve(args) -> int:
     )
     outcome = run_solver(args.algorithm, inst, matrix, values, args.variant,
                          budget, args.seed)
-    payload = {
+    return _print_result({
         "algorithm": args.algorithm,
         "variant": args.variant,
         "config_id": config_id,
@@ -153,31 +173,21 @@ def _cmd_solve(args) -> int:
         "proven_optimal": outcome.proven_optimal,
         "elapsed_s": outcome.elapsed,
         "trajectory": outcome.trajectory,
-    }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    })
 
 
 def _cmd_bench(args) -> int:
     plan = load_plan(args.plan)
-    _echo_config(plan.base_seed, plan.time_scale, plan.rounding)
+    _echo_config(seed=plan.base_seed, time_scale=plan.time_scale, rounding=plan.rounding)
     records = run_experiment(plan, workers=args.workers)
     if args.out_csv is not None:
-        write_csv(records, args.out_csv)
-        print(f"wrote {args.out_csv}", file=sys.stderr)
-    text = json.dumps(json_report(plan, records), indent=2) + "\n"
-    if args.out_json is not None:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out_json}", file=sys.stderr)
-    sys.stdout.write(text)
-    return 0
+        _write_file(args.out_csv, write_csv(records))
+    return _print_result(json_report(plan, records), args.out_json)
 
 
 def _cmd_tune(args) -> int:
     _check_variant(args)
-    _echo_config(args.seed, args.time_scale, "none")
+    _echo_config(seed=args.seed, time_scale=args.time_scale, rounding="none")
     specs = [_parse_instance_line(line) for line in args.instances]
     instances = [spec.resolve() for spec in specs]
     config, state = race(
@@ -189,29 +199,23 @@ def _cmd_tune(args) -> int:
         time_scale=args.time_scale,
         variant=args.variant,
     )
-    json.dump({
+    return _print_result({
         "algorithm": config.algorithm,
         "values": config.values,
         "provenance": config.provenance,
         "runs_spent": state.spent,
         "rounds": state.rounds,
         "survivors": len(state.alive),
-    }, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    })
 
 
 def _cmd_gap(args) -> int:
-    _echo_config("-", "-", "-")
     with open(args.csv, encoding="utf-8") as fh:
         records = read_csv(fh.read())
-    json.dump(gap_table(records), sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0
+    return _print_result(gap_table(records))
 
 
 def _cmd_render_prompt(args) -> int:
-    _echo_config("-", "-", "-")
     template = PromptTemplate() if args.template is None else load_template(args.template)
     with open(args.code_file, encoding="utf-8") as fh:
         code = fh.read()
@@ -221,20 +225,10 @@ def _cmd_render_prompt(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "bench": _cmd_bench,
-    "tune": _cmd_tune,
-    "gap": _cmd_gap,
-    "render-prompt": _cmd_render_prompt,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help path
         return int(exc.code or 0)
     except _UsageError as exc:

@@ -6,7 +6,7 @@ derived from those specs.
 
 from __future__ import annotations
 
-from ..errors import InvalidTour, UnknownAlgorithm, UnknownParameter
+from ..errors import DimensionMismatch, InvalidTour, UnknownAlgorithm, UnknownParameter
 from ..instances import Instance
 from ..tours import costs_agree, tour_length, validate_tour
 from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
@@ -91,13 +91,16 @@ def run_solver(
     """Run one algorithm and check its tour; stochastic solvers require a budget.
 
     values override the original preset, so callers may give only the knobs
-    they care about. The returned tour is re-validated as a permutation of
-    the instance's cities and re-costed on `matrix`; a tour that fails, or a
-    reported cost off by more than 1e-9 relative, raises InvalidTour. The
-    result carries the re-costed best_cost.
+    they care about. A matrix whose row count is not the instance's dimension
+    raises DimensionMismatch before the run. The returned tour is re-validated
+    as a permutation of the instance's cities and re-costed on `matrix`; a tour
+    that fails, or a reported cost off by more than 1e-9 relative, raises
+    InvalidTour. The result carries the re-costed best_cost.
     """
     spec = get_algorithm(algorithm)
     _, _, params = _resolve(algorithm, variant, None, values)
+    if len(matrix) != inst.dimension:
+        raise DimensionMismatch(f"matrix has {len(matrix)} rows for {inst.dimension} cities")
     if spec.kind == "stochastic" and budget is None:
         raise ValueError(f"{algorithm} needs a budget")
     result = spec.run(inst, matrix, params, variant, budget, seed)

@@ -11,7 +11,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from ..errors import NonFiniteInput, NoSuchColumn, UnknownAlgorithm
+from ..errors import DimensionMismatch, NonFiniteInput, NoSuchColumn, UnknownAlgorithm
 from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
@@ -123,16 +123,22 @@ class RunTracker:
         )
 
 
-def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray]:
-    """Start the run's clock, then read d once as a float array: (tracker, array).
-
-    elapsed, the time budget and the trajectory times all cover the read. A
-    NaN or infinite entry raises NonFiniteInput before any search starts."""
-    tracker = RunTracker(budget)
+def read_matrix(d) -> np.ndarray:
+    """d as a float array, checked: a matrix that is not square raises
+    DimensionMismatch, one with a NaN or infinite entry NonFiniteInput."""
     matrix = np.asarray(d, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatch(f"distance matrix must be square, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise NonFiniteInput("distance matrix contains NaN or infinity")
-    return tracker, matrix
+    return matrix
+
+
+def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray]:
+    """Start the run's clock, then read d once through read_matrix: (tracker,
+    array). elapsed, the time budget and the trajectory times all cover the read."""
+    tracker = RunTracker(budget)
+    return tracker, read_matrix(d)
 
 
 def operator_score(new_best: bool, improved: bool) -> float:

@@ -52,7 +52,6 @@ def branch_and_bound(
     tracker, matrix = start_run(d, None)
     dist = matrix.tolist()
     n = len(dist)
-    min1, min2 = bound_cache(dist)
     nn_tour = nearest_neighbor_tour(matrix, start=0)
     nn_cost = tour_length(nn_tour, dist)
 
@@ -70,7 +69,6 @@ def branch_and_bound(
     visited = [False] * n
     visited[0] = True
     path = [0]
-    root_bound = sum(m1 + m2 for m1, m2 in zip(min1, min2)) / 2.0
 
     def dfs(current: int, depth: int, weight: float, bound: float):
         nonlocal nodes, incumbent, best, capped
@@ -112,9 +110,10 @@ def branch_and_bound(
                 return
 
     if n > 2:
-        dfs(0, 1, 0.0, root_bound)
+        min1, min2 = bound_cache(dist)
+        dfs(0, 1, 0.0, sum(m1 + m2 for m1, m2 in zip(min1, min2)) / 2.0)
     if best is None:
-        # A cap fired before any complete tour, or n = 2, whose one tour is NN's.
+        # A cap fired before any complete tour, or n <= 2, whose one tour is NN's.
         best, incumbent = nn_tour, nn_cost
     return SolveResult(best, float(incumbent), trajectory=None, evaluations=None,
                        elapsed=tracker.elapsed(), nodes_expanded=nodes,

@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import DegenerateInput, NoCoordinates
 from ..instances import Instance
 from ..tours import cheapest_insertion
-from .base import SolveResult, SolverSpec, start_run
+from .base import SolveResult, SolverSpec, read_matrix, start_run
 
 _EPS = 1e-12
 
@@ -66,6 +66,7 @@ def greedy_matching(vertices: list[int], d) -> list[tuple[int, int]]:
 
 def christofides(d) -> list[int]:
     """MST + greedy matching on odd-degree vertices + Euler circuit + shortcut."""
+    d = read_matrix(d)
     n = len(d)
     mst = minimum_spanning_tree(d)
     adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -132,6 +133,7 @@ def convex_hull_tour(inst: Instance, d) -> list[int]:
     Ties: the first pair in scan order (city index, then tour position) within
     1e-12 of the minimum wins. Hull vertices keep their cyclic order.
     """
+    d = read_matrix(d)
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} has no coordinates")
     n = inst.dimension

@@ -174,7 +174,7 @@ class TestParsePlan:
         ("[instances]\nrandom n=5 seed=0\n", "no \\[algorithms\\]"),
         ("[fruit]\napple\n", "unknown plan section"),
         ("repetitions 30\n[instances]\nrandom n=5 seed=0\n[algorithms]\nsa\n",
-         "key = value"),
+         "key=value in plan header"),
         ("[instances]\nrandom n=5 seed=0\n[algorithms]\ntabu preset=original tenure=9\n",
          "not both"),
         ("[instances]\nrandom n=5 seed=0\n[algorithms]\ntabu variant=quantum\n",

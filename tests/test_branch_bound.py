@@ -105,6 +105,13 @@ def test_two_cities_need_no_search(variant):
     assert (result.nodes_expanded, result.proven_optimal) == (0, True)
 
 
+@pytest.mark.parametrize("variant", ["baseline", "enhanced_r1"])
+def test_one_city_is_its_own_tour(variant):
+    result = branch_and_bound([[0.0]], variant)
+    assert (result.best, result.best_cost) == ([0], 0.0)
+    assert (result.nodes_expanded, result.proven_optimal) == (0, True)
+
+
 def test_cap_before_any_tour_falls_back_to_nearest_neighbor():
     d = random_matrix(6, 0)
     nn = nearest_neighbor_tour(d, start=0)

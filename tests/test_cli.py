@@ -526,3 +526,100 @@ def test_console_script_installed(tmp_path):
     proc = run("gen", "--n", "1", "--seed", "0")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def _single_json_document(out: str):
+    """The document out holds, asserting it is exactly one JSON document
+    indented by 2 with one trailing newline."""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+class TestOutputRules:
+    GEN_GOLDEN = (
+        "NAME : rnd4-s2\nTYPE : TSP\nDIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+        "NODE_COORD_SECTION\n"
+        "1 26.16121342493164 29.84911434141233\n"
+        "2 81.42257405942803 9.19159421350969\n"
+        "3 60.0100525965654 72.85605268117946\n"
+        "4 18.790107336660345 5.514662733306819\n"
+        "EOF\n"
+    )
+    GAP_GOLDEN = (
+        '[\n  {\n    "algorithm": "ga",\n    "instance": "x",\n'
+        '    "variant": "hybrid_r1",\n    "baseline_median": 100.0,\n'
+        '    "variant_median": 95.0,\n    "gap_percent": 5.0\n  }\n]\n'
+    )
+    PROMPT_GOLDEN = (
+        "You are an optimization algorithm expert.\n\n"
+        "I need to improve this GA implementation for the travelling salesman "
+        "problem (TSP) by incorporating state-of-the-art techniques. Focus on:\n\n"
+        "1. Finding better quality solutions\n2. Faster convergence time\n\n"
+        "Requirements:\n- Keep the main function signature: def ga(d):\n"
+        "- Include detailed docstrings explaining:\n"
+        "  * What improvement is implemented\n  * How it enhances performance\n"
+        "  * Which state-of-the-art technique it is based on\n"
+        "- All explanations must be within docstrings, no additional text\n"
+        "- Check that there are no errors in the code\n\n"
+        "IMPORTANT:\n- Return ONLY Python code\n"
+        "- Any explanation or discussion must be inside docstrings\n"
+        "- At the end, include a comment block listing unmodified functions "
+        "from the original code\n\n"
+        "Current implementation:\ndef ga(d):\n    return list(range(len(d)))\n\n"
+    )
+
+    def test_gen_stdout_is_golden_and_echoes_only_the_seed(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--n", "4", "--seed", "2")
+        assert code == 0
+        assert out == self.GEN_GOLDEN
+        assert err == "config: seed=2\n"
+
+    def test_gap_stdout_is_golden_and_echoes_no_config(self, capsys, tmp_path):
+        def row(variant, rep, cost):
+            return RunRecord(algorithm="ga", variant=variant, config_id="c",
+                             instance="x", n=5, seed=rep, rep=rep, best_cost=cost,
+                             elapsed_s=0.0, evaluations=1, nodes_expanded=None,
+                             status="ok")
+
+        records = [row("baseline", r, c) for r, c in enumerate((100.0, 104.0, 98.0))]
+        records += [row("hybrid_r1", r, c) for r, c in enumerate((90.0, 95.0, 97.0))]
+        csv_path = tmp_path / "runs.csv"
+        write_csv(records, str(csv_path))
+        code, out, err = run_cli(capsys, "gap", "--csv", str(csv_path))
+        assert code == 0
+        assert out == self.GAP_GOLDEN
+        assert "config:" not in err
+
+    def test_render_prompt_stdout_is_golden_and_echoes_no_config(self, capsys, tmp_path):
+        code_file = tmp_path / "algo.py"
+        code_file.write_text("def ga(d):\n    return list(range(len(d)))\n",
+                             encoding="utf-8")
+        code, out, err = run_cli(capsys, "render-prompt", "--name", "GA",
+                                 "--signature", "def ga(d):", "--code-file", str(code_file))
+        assert code == 0
+        assert out == self.PROMPT_GOLDEN
+        assert "config:" not in err
+
+    def test_solve_prints_one_json_document(self, capsys, triangle_file):
+        code, out, _ = run_cli(capsys, "solve", "--instance", triangle_file,
+                               "--algorithm", "sa", "--max-evaluations", "20")
+        assert code == 0
+        assert _single_json_document(out)["algorithm"] == "sa"
+
+    def test_tune_prints_one_json_document(self, capsys):
+        code, out, _ = run_cli(capsys, "tune", "--algorithm", "qlearning",
+                               "--instances", "random n=6 seed=0", "random n=6 seed=1",
+                               "--budget", "8", "--candidates", "2", "--time-scale", "0.05")
+        assert code == 0
+        assert _single_json_document(out)["algorithm"] == "qlearning"
+
+    def test_bench_prints_one_json_document(self, capsys, tmp_path):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("repetitions = 1\ntime_scale = 0.05\n"
+                        "[instances]\nrandom n=6 seed=0\n"
+                        "[algorithms]\nchristofides\nbranch_and_bound\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+        assert code == 0
+        assert _single_json_document(out)["schema"] == 1
+        assert "config: seed=0 time_scale=0.05 rounding=none\n" in err

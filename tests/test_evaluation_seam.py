@@ -190,6 +190,23 @@ def test_plan_rejects_repeated_keys(capsys, tmp_path, case):
     assert out == ""
 
 
+@pytest.mark.parametrize("header, message", [
+    ("repetitions 1\n", "expected key=value in plan header, got 'repetitions 1'"),
+    ("repetitions = 1\nrepetitions = 2\n", "repeated key 'repetitions' in plan header"),
+], ids=["no equals sign", "repeated key"])
+def test_plan_header_error_wins_over_a_later_section_error(capsys, tmp_path, header, message):
+    # The algorithm line is malformed too; the header comes first in the file,
+    # so its error is the one reported.
+    text = header + _PLAN_TAIL + "sa t_start\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_plan(text)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--plan", str(plan))
+    assert code == 2
+    assert err == f"error: {message}\n" and out == ""
+
+
 def test_tune_cli_rejects_a_repeated_instance_key(capsys):
     code, out, err = run_cli(capsys, "tune", "--algorithm", "aco", "--budget", "4",
                              "--candidates", "2", "--time-scale", "0.05",

@@ -12,6 +12,7 @@ from tsplab import (
     AcoParams,
     AlnsParams,
     GaParams,
+    DimensionMismatch,
     NonFiniteInput,
     RlParams,
     SaParams,
@@ -20,6 +21,7 @@ from tsplab import (
     branch_and_bound,
     build_distance_matrix,
     christofides,
+    convex_hull_tour,
     generate_random_instance,
     lundy_mees_beta,
     lundy_mees_step,
@@ -251,13 +253,13 @@ def test_entry_points_read_rows_like_the_array(entry):
     assert outcome(_ENTRY_CALLS[entry](d.tolist())) == outcome(_ENTRY_CALLS[entry](d))
 
 
-# The solve function each algorithm's spec runs; christofides and convex_hull
-# are reached through run_solver only.
+# Each algorithm's public entry point, called directly on a 6-city matrix.
 _SOLVE_CALLS = {
     "aco": _ENTRY_CALLS["aco"], "ga": _ENTRY_CALLS["ga"], "alns": _ENTRY_CALLS["alns"],
     "tabu": _ENTRY_CALLS["tabu"], "sa": _ENTRY_CALLS["sa"],
     "qlearning": _ENTRY_CALLS["qlearning"], "sarsa": _ENTRY_CALLS["sarsa"],
-    "branch_and_bound": _ENTRY_CALLS["bb"],
+    "branch_and_bound": _ENTRY_CALLS["bb"], "christofides": christofides,
+    "convex_hull": lambda d: convex_hull_tour(generate_random_instance(6, 0), d),
 }
 
 
@@ -269,9 +271,21 @@ def test_non_finite_matrix_is_refused_before_any_run(algorithm, bad):
     d[1, 2] = d[2, 1] = bad
     with pytest.raises(NonFiniteInput):
         run_solver(algorithm, inst, d, None, "baseline", SolveBudget(max_evaluations=50), 0)
-    if algorithm in _SOLVE_CALLS:
-        with pytest.raises(NonFiniteInput):
-            _SOLVE_CALLS[algorithm](d)
+    with pytest.raises(NonFiniteInput):
+        _SOLVE_CALLS[algorithm](d)
+
+
+@pytest.mark.parametrize("shape", ["4x3", "1x1"])
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_wrong_shape_matrix_is_refused_before_any_run(algorithm, shape):
+    inst = generate_random_instance(4, 0)
+    d = build_distance_matrix(inst)
+    bad = d[:, :3] if shape == "4x3" else np.zeros((1, 1))
+    with pytest.raises(DimensionMismatch):
+        run_solver(algorithm, inst, bad, None, "baseline", SolveBudget(max_evaluations=50), 0)
+    if shape == "4x3":  # a matrix that is not square fails in every entry point
+        with pytest.raises(DimensionMismatch):
+            _SOLVE_CALLS[algorithm](bad)
 
 
 class _SlowMatrix:
