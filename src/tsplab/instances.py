@@ -24,6 +24,9 @@ from .errors import (
 
 ROUNDING_MODES = ("none", "tsplib_nint")
 
+# A distance matrix is symmetric when no |d[i][j] - d[j][i]| exceeds this.
+SYMMETRY_TOL = 1e-9
+
 _SUPPORTED_TYPES = ("EUC_2D", "GEO", "EXPLICIT")
 _SUPPORTED_FORMATS = ("FULL_MATRIX", "LOWER_DIAG_ROW", "UPPER_ROW")
 
@@ -161,6 +164,17 @@ def _weights_to_matrix(values: list[float], n: int, fmt: str) -> list[list[float
     return m.tolist()
 
 
+def check_symmetric(d: np.ndarray, what: str = "distance matrix") -> None:
+    """Raise NonSymmetric if some |d[i][j] - d[j][i]| exceeds SYMMETRY_TOL.
+
+    Exact symmetry is checked first; the tolerance is computed only when that
+    fails, one row at a time, so no n-by-n float temporary is made."""
+    if (d == d.T).all():
+        return
+    if any(np.abs(row - col).max() > SYMMETRY_TOL for row, col in zip(d, d.T)):
+        raise NonSymmetric(f"{what} asymmetric beyond {SYMMETRY_TOL:g}")
+
+
 def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     """Dense symmetric n-by-n distance matrix for an instance.
 
@@ -177,8 +191,7 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
             raise CountMismatch(f"matrix shape {d.shape} for dimension {inst.dimension}")
         if not np.isfinite(d).all():
             raise NonFiniteInput(f"instance {inst.name} has NaN or infinite distances")
-        if np.abs(d - d.T).max() > 1e-9:
-            raise NonSymmetric("explicit matrix asymmetric beyond 1e-9")
+        check_symmetric(d, "explicit matrix")
         if (d < 0).any():
             raise NegativeDistance("explicit matrix has negative entries")
         np.fill_diagonal(d, 0.0)

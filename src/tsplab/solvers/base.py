@@ -12,6 +12,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from ..errors import DimensionMismatch, NonFiniteInput, NoSuchColumn, UnknownAlgorithm
+from ..instances import check_symmetric
 from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
@@ -125,12 +126,14 @@ class RunTracker:
 
 def read_matrix(d) -> np.ndarray:
     """d as a float array, checked: a matrix that is not square raises
-    DimensionMismatch, one with a NaN or infinite entry NonFiniteInput."""
+    DimensionMismatch, one with a NaN or infinite entry NonFiniteInput, and
+    one asymmetric beyond instances.SYMMETRY_TOL NonSymmetric."""
     matrix = np.asarray(d, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"distance matrix must be square, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise NonFiniteInput("distance matrix contains NaN or infinity")
+    check_symmetric(matrix)
     return matrix
 
 

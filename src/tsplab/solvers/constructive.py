@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateInput, NoCoordinates
+from ..errors import DegenerateInput, DimensionMismatch, NoCoordinates
 from ..instances import Instance
-from ..tours import cheapest_insertion
+from ..tours import TIE_EPS, cheapest_insertion
 from .base import SolveResult, SolverSpec, read_matrix, start_run
-
-_EPS = 1e-12
 
 
 def minimum_spanning_tree(d) -> list[tuple[int, int, float]]:
@@ -66,7 +64,10 @@ def greedy_matching(vertices: list[int], d) -> list[tuple[int, int]]:
 
 def christofides(d) -> list[int]:
     """MST + greedy matching on odd-degree vertices + Euler circuit + shortcut."""
-    d = read_matrix(d)
+    return _christofides(read_matrix(d))
+
+
+def _christofides(d: np.ndarray) -> list[int]:
     n = len(d)
     mst = minimum_spanning_tree(d)
     adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
@@ -114,7 +115,8 @@ def convex_hull(points) -> list[int]:
     for chain_order in (order, order[::-1]):  # lower chain, then upper chain
         chain: list[int] = []
         for i in chain_order:
-            while len(chain) >= 2 and _cross(points[chain[-2]], points[chain[-1]], points[i]) <= _EPS:
+            while (len(chain) >= 2
+                   and _cross(points[chain[-2]], points[chain[-1]], points[i]) <= TIE_EPS):
                 chain.pop()
             chain.append(i)
         hull += chain[:-1]
@@ -133,10 +135,15 @@ def convex_hull_tour(inst: Instance, d) -> list[int]:
     Ties: the first pair in scan order (city index, then tour position) within
     1e-12 of the minimum wins. Hull vertices keep their cyclic order.
     """
-    d = read_matrix(d)
+    return _convex_hull_tour(inst, read_matrix(d))
+
+
+def _convex_hull_tour(inst: Instance, d: np.ndarray) -> list[int]:
     if inst.coords is None:
         raise NoCoordinates(f"instance {inst.name} has no coordinates")
     n = inst.dimension
+    if len(d) != n:
+        raise DimensionMismatch(f"matrix has {len(d)} rows for {n} cities")
     if n == 2:
         return [0, 1]
     try:
@@ -148,7 +155,7 @@ def convex_hull_tour(inst: Instance, d) -> list[int]:
 
 def _timed(construct):
     """A SolverSpec run function that times one construction and evaluates its
-    tour; the matrix is read and checked through start_run."""
+    tour; the matrix is read and checked once, through start_run."""
     def run(inst, d, params, variant, budget, seed) -> SolveResult:
         tracker, matrix = start_run(d, budget)
         tracker.evaluate(construct(inst, matrix), matrix)
@@ -158,10 +165,10 @@ def _timed(construct):
 
 CHRISTOFIDES_SPEC = SolverSpec(
     "christofides", "deterministic", ("baseline",),
-    run=_timed(lambda inst, d: christofides(d)),
+    run=_timed(lambda inst, d: _christofides(d)),
 )
 
 CONVEX_HULL_SPEC = SolverSpec(
     "convex_hull", "deterministic", ("baseline",),
-    run=_timed(convex_hull_tour),
+    run=_timed(_convex_hull_tour),
 )

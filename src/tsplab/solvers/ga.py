@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from ..tours import nearest_neighbor_tour, randbelow, roulette, two_opt
+from ..tours import TIE_EPS, nearest_neighbor_tour, randbelow, roulette, two_opt
 from .base import SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
 
 _TINY = 1e-12
@@ -186,13 +186,14 @@ def _best_cost_insertion_crossover(p1, p2, dist, getrandbits) -> list[int]:
     segment = [p2[(start + k) % n] for k in range(length)]
     removed = set(segment)
     child = [c for c in p1 if c not in removed]
+    eps = TIE_EPS
     for city in segment:
         best_pos, best_delta = 0, float("inf")
         m = len(child)
         for pos in range(m):
             a, bnext = child[pos - 1], child[pos]
             delta = dist[a][city] + dist[city][bnext] - dist[a][bnext]
-            if delta < best_delta - 1e-12:
+            if delta < best_delta - eps:
                 best_pos, best_delta = pos, delta
         child.insert(best_pos, city)
     return child

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 
-from ..tours import nearest_neighbor_tour, randbelow, reversal_delta
+from ..tours import nearest_neighbor_tour
 from .base import SolveBudget, SolveResult, SolverSpec, start_run
 
 SA_VARIANTS = ("baseline", "lundy_mees_r1")
@@ -78,31 +79,58 @@ def solve_sa(
     else:
         current = nearest_neighbor_tour(matrix, start=0)
     current_cost, _ = tracker.evaluate(current, dist)
+    if n < 4:  # no 2-opt move exists
+        return tracker.result()
 
-    temperature = p.t_start
-    if variant == "lundy_mees_r1":
+    t_start, t_final, cooling_rate = p.t_start, p.t_final, p.cooling_rate
+    temperature = t_start
+    baseline = variant == "baseline"
+    if not baseline:
         planned = b.max_evaluations if b.max_evaluations is not None else _SWEEP_PER_CITY * n
-        beta = lundy_mees_beta(p.t_start, p.t_final, max(planned, 1))
+        beta = lundy_mees_beta(t_start, t_final, max(planned, 1))
 
-    while n >= 4 and not tracker.out_of_budget():
+    # The proposal loop inlines tracker.out_of_budget, tours.randbelow,
+    # tours.reversal_delta, metropolis_accept and lundy_mees_step: the same
+    # checks, draws and float operations in the same order, without five
+    # calls per proposal. The pins in test_meta_solvers hold it to them.
+    cap = b.max_evaluations if b.max_evaluations is not None else math.inf
+    limit = b.time_limit if b.time_limit is not None else math.inf
+    started, now = tracker.started, time.perf_counter
+    random_, exp = rng.random, math.exp
+    top = n - 1
+    bits = [m.bit_length() for m in range(n)]
+    top_bits = bits[top]
+    evaluations = tracker.evaluations
+    while evaluations < cap and now() - started < limit:
         # rng.randrange(n - 1), then rng.randrange(i + 1, n): the same draws.
-        i = randbelow(getrandbits, n - 1)
-        j = i + 1 + randbelow(getrandbits, n - i - 1)
-        if i == 0 and j == n - 1:
+        i = getrandbits(top_bits)
+        while i >= top:
+            i = getrandbits(top_bits)
+        span = top - i
+        j = getrandbits(bits[span])
+        while j >= span:
+            j = getrandbits(bits[span])
+        j += i + 1
+        if i == 0 and j == top:
             continue
-        delta = reversal_delta(current, dist, i, j)
-        tracker.evaluations += 1
-        if metropolis_accept(delta, temperature, rng):
+        prev, first, last, after = current[i - 1], current[i], current[j], current[(j + 1) % n]
+        row = dist[prev]
+        delta = row[last] + dist[first][after] - row[first] - dist[last][after]
+        evaluations += 1
+        if delta <= 0.0 or random_() < exp(-delta / temperature):
             current[i : j + 1] = current[i : j + 1][::-1]
-            current_cost = tracker.offer_summed(current, current_cost + delta, dist)
-        if variant == "baseline":
-            temperature *= p.cooling_rate
-            if temperature < p.t_final:
-                temperature = p.t_start  # schedule restart under remaining budget
+            current_cost += delta
+            if current_cost < tracker.best_cost:
+                current_cost = tracker.offer_summed(current, current_cost, dist)
+        if baseline:
+            temperature *= cooling_rate
+            if temperature < t_final:
+                temperature = t_start  # schedule restart under remaining budget
         else:
-            temperature = lundy_mees_step(temperature, beta)
+            temperature = temperature / (1.0 + beta * temperature)
         if temperature_trace is not None:
             temperature_trace.append(temperature)
+    tracker.evaluations = evaluations
     return tracker.result()
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-_EPS = 1e-12
+# Tie window of every scan that keeps the first of near-equal scores.
+TIE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,9 @@ def cheapest_insertion(tour, pending, d, criterion: str = "detour") -> list[int]
             prev, nxt = np.array(tour[-1:] + tour[:-1]), np.array(tour)
             via = dist[prev, ks] + dist[ks, nxt]
             edge = dist[prev, nxt]
-            scores = via / np.maximum(edge, _EPS) if criterion == "ratio" else via - edge
+            scores = via / np.maximum(edge, TIE_EPS) if criterion == "ratio" else via - edge
         # <= keeps the minimum eligible even where min + 1e-12 rounds to min.
-        city, pos = divmod(int(np.argmax(scores.ravel() <= scores.min() + _EPS)), m)
+        city, pos = divmod(int(np.argmax(scores.ravel() <= scores.min() + TIE_EPS)), m)
         tour.insert(pos if m > 1 else 1, pending.pop(city))
     return tour
 
@@ -179,7 +180,7 @@ def two_opt(
                 for j in range(i + 1, n):
                     if i == 0 and j == n - 1:
                         continue  # reversing the whole tour is a no-op
-                    if reversal_delta(tour, d, i, j) < -_EPS:
+                    if reversal_delta(tour, d, i, j) < -TIE_EPS:
                         tour[i : j + 1] = tour[i : j + 1][::-1]
                         improved = True
         return tour
@@ -190,6 +191,6 @@ def two_opt(
         j = i + 1 + randbelow(getrandbits, n - i - 1)
         if i == 0 and j == n - 1:
             continue
-        if reversal_delta(tour, d, i, j) < -_EPS:
+        if reversal_delta(tour, d, i, j) < -TIE_EPS:
             tour[i : j + 1] = tour[i : j + 1][::-1]
     return tour

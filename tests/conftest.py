@@ -29,6 +29,13 @@ def random_matrix(n, seed, lo=0.0, hi=100.0):
     return build_distance_matrix(inst)
 
 
+def nint_matrix(n, seed, span=10.0):
+    """n uniform points in [0, span]^2 with TSPLIB nint rounding: small
+    integer distances, so many 2-opt moves tie exactly."""
+    inst = generate_random_instance(n, seed, (0.0, span))
+    return build_distance_matrix(inst, rounding="tsplib_nint")
+
+
 def grid_matrix(k, copies=1):
     """The integer points of [0, k-1]^2, each `copies` times: many exactly
     equal distances and deltas, and zero distances when copies > 1."""
@@ -47,12 +54,21 @@ PIN_MATRICES = {
     "grid3x2": lambda: grid_matrix(3, copies=2),
     "rnd12": lambda: random_matrix(12, 3),
     "rnd1000": lambda: random_matrix(1000, 5),
+    "rnd5": lambda: random_matrix(5, 6),
+    "rnd10": lambda: random_matrix(10, 31),
+    "nint30": lambda: nint_matrix(30, 0),
 }
 
 
 def tour_digest(tour):
     """A 16-hex sha256 prefix of the tour, for pinning seeded outputs."""
     return hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16]
+
+
+def trajectory_digest(trajectory):
+    """A 16-hex sha256 prefix of a trajectory's costs, each as float.hex()."""
+    text = ",".join(cost.hex() for _, cost in trajectory)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import statistics
 
+import numpy as np
 import pytest
 
 from tsplab import (
+    NonSymmetric,
     SolveBudget,
     bound_cache,
     branch_and_bound,
@@ -25,6 +27,19 @@ def test_bound_cache_345(tri345):
     assert min1 == [3.0, 3.0, 4.0]
     assert min2 == [4.0, 5.0, 5.0]
     assert root_lower_bound(d) == pytest.approx(12.0)
+
+
+def test_asymmetric_matrix_is_refused_instead_of_a_false_proof():
+    # The two-minimum bound reads d[i][j] rows only. On this directed n=7
+    # matrix the baseline used to report 99.431 as proven after 302 nodes;
+    # enumeration gives 94.713.
+    rng = np.random.default_rng(5)
+    n = int(rng.integers(5, 9))
+    d = rng.uniform(1, 100, (n, n))
+    np.fill_diagonal(d, 0.0)
+    for variant in ("baseline", "enhanced_r1"):
+        with pytest.raises(NonSymmetric):
+            branch_and_bound(d, variant)
 
 
 @pytest.mark.parametrize("variant", ["baseline", "enhanced_r1"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tsplab import (
     DegenerateInput,
+    DimensionMismatch,
     Instance,
     NoCoordinates,
     build_distance_matrix,
@@ -175,6 +176,15 @@ class TestConvexHullTour:
         inst = Instance(name="pair", dimension=2, kind="EUC_2D",
                         coords=[(0.0, 0.0), (5.0, 0.0)])
         assert convex_hull_tour(inst, build_distance_matrix(inst)) == [0, 1]
+
+    @pytest.mark.parametrize("cities,rows", [(6, 4), (4, 6)])
+    def test_matrix_of_another_dimension_is_refused(self, cities, rows):
+        # 6 cities on a 4x4 matrix used to index past it; 4 cities on a 6x6
+        # one returned a tour of 4 of the matrix's 6 cities.
+        inst = generate_random_instance(cities, 0)
+        d = build_distance_matrix(generate_random_instance(rows, 0))
+        with pytest.raises(DimensionMismatch):
+            convex_hull_tour(inst, d)
 
     def test_explicit_instance_rejected(self):
         inst = Instance(name="ex", dimension=3, kind="EXPLICIT",

@@ -14,6 +14,7 @@ from tsplab import (
     GaParams,
     DimensionMismatch,
     NonFiniteInput,
+    NonSymmetric,
     RlParams,
     SaParams,
     SolveBudget,
@@ -50,7 +51,7 @@ from ._oracles import (
     reference_edge_recombination,
     reference_order_crossover,
 )
-from .conftest import PIN_MATRICES, random_matrix, tour_digest
+from .conftest import PIN_MATRICES, random_matrix, tour_digest, trajectory_digest
 
 GENEROUS = SolveBudget(time_limit=10.0, max_evaluations=6000)
 TINY = SolveBudget(max_evaluations=30)
@@ -135,6 +136,10 @@ _PIN_CALLS = {
     "sa-lm": lambda d, cap: solve_sa(d, SA_P, SolveBudget(max_evaluations=cap), 7,
                                      variant="lundy_mees_r1"),
     "tabu": lambda d, cap: solve_tabu(d, TABU_P, SolveBudget(max_evaluations=cap), 7),
+    "tabu-t5": lambda d, cap: solve_tabu(d, TabuParams(tenure=5),
+                                         SolveBudget(max_evaluations=cap), 7),
+    "tabu-t30": lambda d, cap: solve_tabu(d, TabuParams(tenure=30),
+                                          SolveBudget(max_evaluations=cap), 7),
 }
 
 
@@ -151,11 +156,39 @@ _PIN_CALLS = {
     ("sa", "grid5", 5000, 26.650281539872886, "6bd4a81d9b31c6ef"),
     ("sa-lm", "grid5", 5000, 25.414213562373096, "a1d2b57c33bd1097"),
     ("tabu", "grid5", 60, 25.414213562373096, "94a2553a43196af2"),
+    # Recorded before tabu scored each sweep as one numpy array. rnd5 takes
+    # the all-tabu fallback 9 times, and its choice shows in the trajectory;
+    # rnd10 admits one tabu move by aspiration; nint30's integer distances
+    # make many candidates tie exactly, so the scan order decides.
+    ("tabu-t30", "rnd5", 40, 173.9567397666487, "5e400a907a98cd48"),
+    ("tabu-t30", "rnd10", 40, 355.4810953330641, "dfc72cc36eb544c8"),
+    ("tabu-t5", "nint30", 60, 46.0, "8c6c49f89c42810f"),
 ])
 def test_sa_tabu_capped_runs_pinned(solver, instance, cap, best_cost, digest):
     result = _PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
     assert (result.best_cost, result.evaluations) == (best_cost, cap)
     assert tour_digest(result.best) == digest
+
+
+# Every trajectory cost, as float.hex(), of the runs above; recorded before
+# SA's proposal loop ran inline and tabu scored each sweep as one numpy array.
+@pytest.mark.parametrize("solver,instance,cap,digest", [
+    ("sa", "rnd200_1", 20000, "ca0bcdfc19cebb23"),
+    ("sa-lm", "rnd200_1", 20000, "7fbd5e9ed29dff1e"),
+    ("tabu", "rnd200_1", 8, "49daf2bf60007496"),
+    ("sa", "rnd200_2", 20000, "5b8b60146d191bcc"),
+    ("sa-lm", "rnd200_2", 20000, "c0a3edb1901b6cfa"),
+    ("tabu", "rnd200_2", 8, "87460e387ad5dda6"),
+    ("sa", "grid5", 5000, "6fd7385716364214"),
+    ("sa-lm", "grid5", 5000, "d0c1c2a39bb75ade"),
+    ("tabu", "grid5", 60, "3f263747703d8140"),
+    ("tabu-t30", "rnd5", 40, "c5f76b6deac399b2"),
+    ("tabu-t30", "rnd10", 40, "0ce7b35a9d66bb50"),
+    ("tabu-t5", "nint30", 60, "812855b1b1305e3f"),
+])
+def test_sa_tabu_capped_trajectories_pinned(solver, instance, cap, digest):
+    result = _PIN_CALLS[solver](PIN_MATRICES[instance](), cap)
+    assert trajectory_digest(result.trajectory) == digest
 
 
 def test_tabu_ignores_its_seed():
@@ -286,6 +319,27 @@ def test_wrong_shape_matrix_is_refused_before_any_run(algorithm, shape):
     if shape == "4x3":  # a matrix that is not square fails in every entry point
         with pytest.raises(DimensionMismatch):
             _SOLVE_CALLS[algorithm](bad)
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_asymmetric_matrix_is_refused_before_any_run(algorithm):
+    # 2-opt deltas and the branch-and-bound bound assume d[i][j] == d[j][i].
+    inst = generate_random_instance(6, 0)
+    d = build_distance_matrix(inst)
+    d[1, 2] += 1e-6
+    with pytest.raises(NonSymmetric):
+        run_solver(algorithm, inst, d, None, "baseline", SolveBudget(max_evaluations=50), 0)
+    with pytest.raises(NonSymmetric):
+        _SOLVE_CALLS[algorithm](d)
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_asymmetry_within_tolerance_still_runs(algorithm):
+    inst = generate_random_instance(6, 0)
+    d = build_distance_matrix(inst)
+    d[1, 2] += 1e-10
+    result = run_solver(algorithm, inst, d, None, "baseline", SolveBudget(max_evaluations=50), 0)
+    assert validate_tour(result.best, 6).ok
 
 
 class _SlowMatrix:
