@@ -22,6 +22,7 @@ from .errors import ZeroBaseline
 from .instances import ROUNDING_MODES, Instance, build_distance_matrix, generate_random_instance, parse_instance
 from .seeding import stable_hash
 from .solvers import SolveBudget, get_algorithm, resolve_config, run_solver
+from .solvers.base import convert_values
 from .tours import costs_agree
 
 CSV_HEADER = "algorithm,variant,config_id,instance,n,seed,rep,best_cost,elapsed_s,evaluations,nodes_expanded,status"
@@ -141,6 +142,10 @@ class SummaryStats:
 _HEADER_KEYS = {"repetitions": int, "base_seed": int, "time_scale": float,
                 "metric": str, "rounding": str}
 _RANDOM_KEYS = {"n": int, "seed": int, "lo": float, "hi": float}
+# The numeric CSV columns; an empty cell in an optional one reads as None.
+_CSV_NUMBERS = {"n": int, "seed": int, "rep": int, "best_cost": float, "elapsed_s": float,
+                "evaluations": int, "nodes_expanded": int}
+_CSV_OPTIONAL = ("best_cost", "evaluations", "nodes_expanded")
 
 
 def _check_keys(given, valid, required, context: str) -> None:
@@ -177,7 +182,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         raise ValueError("plan has no [algorithms]")
     _check_keys(header, _HEADER_KEYS, (), "plan header")
     return ExperimentPlan(instances=instances, algorithms=algorithms,
-                          **{k: _HEADER_KEYS[k](v) for k, v in header.items()})
+                          **convert_values(header, _HEADER_KEYS, "plan header"))
 
 
 def load_plan(path: str) -> ExperimentPlan:
@@ -207,8 +212,9 @@ def _parse_instance_line(line: str) -> InstanceSpec:
         return InstanceSpec(source="file", path=tokens[1])
     if kind == "random":
         kv = _parse_kv(tokens[1:], "instance line")
-        _check_keys(kv, _RANDOM_KEYS, ("n", "seed"), f"instance line {line!r}")
-        return InstanceSpec(source="random", **{k: _RANDOM_KEYS[k](v) for k, v in kv.items()})
+        context = f"instance line {line!r}"
+        _check_keys(kv, _RANDOM_KEYS, ("n", "seed"), context)
+        return InstanceSpec(source="random", **convert_values(kv, _RANDOM_KEYS, context))
     raise ValueError(f"unknown instance source {kind!r}")
 
 
@@ -367,15 +373,10 @@ def read_csv(text: str) -> list[RunRecord]:
         if len(row) != len(header):
             raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
                              f"expected {len(header)}")
-        r = RunRecord(
-            algorithm=row[0], variant=row[1], config_id=row[2], instance=row[3],
-            n=int(row[4]), seed=int(row[5]), rep=int(row[6]),
-            best_cost=float(row[7]) if row[7] else None,
-            elapsed_s=float(row[8]),
-            evaluations=int(row[9]) if row[9] else None,
-            nodes_expanded=int(row[10]) if row[10] else None,
-            status=row[11],
-        )
+        cells = dict(zip(header, row))
+        numbers = {c: cells[c] for c in _CSV_NUMBERS if cells[c] or c not in _CSV_OPTIONAL}
+        r = RunRecord(**{**cells, **dict.fromkeys(_CSV_OPTIONAL),
+                         **convert_values(numbers, _CSV_NUMBERS, f"CSV line {reader.line_num}")})
         for column in ("best_cost", "elapsed_s"):  # write_csv never writes nan or inf
             value = getattr(r, column)
             if value is not None and not math.isfinite(value):

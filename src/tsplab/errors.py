@@ -18,7 +18,7 @@ class UnsupportedFormat(TsplabError):
 
 
 class NonSymmetric(TsplabError):
-    """Explicit matrix asymmetric beyond tolerance."""
+    """A distance matrix (EXPLICIT or given to a solver) asymmetric beyond tolerance."""
 
 
 class NegativeDistance(TsplabError):
@@ -26,7 +26,7 @@ class NegativeDistance(TsplabError):
 
 
 class DimensionMismatch(TsplabError):
-    """Tour length disagrees with the matrix dimension."""
+    """A matrix not square or not of the instance's dimension, or a tour not of the matrix's."""
 
 
 class InvalidTour(TsplabError):

@@ -12,12 +12,14 @@ from ..tours import costs_agree, tour_length, validate_tour
 from . import aco, alns, branch_bound, constructive, ga, rl, sa, tabu
 from .aco import AcoParams, solve_aco
 from .alns import AlnsParams, solve_alns
-from .base import PRESET_COLUMNS, ParamConfig, ParamDef, ParamSpace, SolveBudget, SolveResult, SolverSpec
-from .branch_bound import bound_cache, branch_and_bound, root_lower_bound
+from .base import (
+    PRESET_COLUMNS, ParamConfig, ParamDef, ParamSpace, SolveBudget, SolveResult, SolverSpec, convert_values,
+)
+from .branch_bound import bound_cache, branch_and_bound
 from .constructive import christofides, convex_hull, convex_hull_tour, greedy_matching, minimum_spanning_tree
 from .ga import GaParams, nn_seed_count, solve_ga
-from .rl import RlParams, boltzmann_probabilities, q_update, solve_qlearning, solve_sarsa
-from .sa import SaParams, lundy_mees_beta, lundy_mees_step, metropolis_accept, solve_sa
+from .rl import RlParams, boltzmann_probabilities, solve_qlearning, solve_sarsa
+from .sa import SaParams, lundy_mees_beta, lundy_mees_step, solve_sa
 from .tabu import TabuParams, solve_tabu
 
 ALGORITHMS: dict[str, SolverSpec] = {spec.name: spec for spec in (
@@ -71,7 +73,8 @@ def _resolve(algorithm: str, variant: str, preset: str | None, values: dict | No
         if unknown:
             raise UnknownParameter(f"{algorithm} has no parameter {unknown}; "
                                    f"valid: {', '.join(known) or 'none'}")
-        config_id, values = "custom", {k: float(v) for k, v in values.items()}
+        config_id = "custom"
+        values = convert_values(values, dict.fromkeys(values, float), f"{algorithm} parameters")
     elif spec.tunable:
         config_id, values = "original", dict(spec.preset("original").values)
     else:

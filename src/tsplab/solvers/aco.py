@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import roulette
-from .base import SolveBudget, SolveResult, SolverSpec, start_run
-
-_TINY = 1e-12
+from .base import TINY, SolveBudget, SolveResult, SolverSpec, start_run
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
     rng = random.Random(seed)
 
     tau = np.ones((n, n))
-    eta = np.power(np.reciprocal(np.maximum(dist, _TINY)), p.beta)  # (1/d)^beta, fixed
+    eta = np.power(np.reciprocal(np.maximum(dist, TINY)), p.beta)  # (1/d)^beta, fixed
     weight = np.empty((n, n))
     q_deposit = float(dist.mean())
 
@@ -57,7 +55,7 @@ def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
                 break
         tau *= 1.0 - p.evaporation_rate
         for tour, cost in iteration_tours:
-            deposit = q_deposit / max(cost, _TINY)
+            deposit = q_deposit / max(cost, TINY)
             prev = tour[-1:] + tour[:-1]
             tau[prev, tour] += deposit
             tau[tour, prev] += deposit

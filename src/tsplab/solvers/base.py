@@ -16,6 +16,7 @@ from ..instances import check_symmetric
 from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
+TINY = 1e-12  # GA, ACO and RL add it to a divisor, or floor one at it: no division by zero
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,19 @@ def update_weights(weights: list[float], used: int, score: float, reaction: floa
     """One adaptive-roulette refresh; the unused operators earn score 0."""
     return [(1.0 - reaction) * w + reaction * (score if k == used else 0.0)
             for k, w in enumerate(weights)]
+
+
+def convert_values(kv: dict, types: dict[str, type], context: str) -> dict:
+    """kv with each value converted to its key's type; one that does not
+    convert raises ValueError naming the context, the key and the value."""
+    out = {}
+    for key, value in kv.items():
+        try:
+            out[key] = types[key](value)
+        except ValueError:
+            kind = "an integer" if types[key] is int else "a number"
+            raise ValueError(f"{context}: {key} must be {kind}, got {value!r}") from None
+    return out
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,6 @@ def bound_cache(d) -> tuple[list[float], list[float]]:
     return min1, min2
 
 
-def root_lower_bound(d) -> float:
-    min1, min2 = bound_cache(d)
-    return sum(m1 + m2 for m1, m2 in zip(min1, min2)) / 2.0
-
-
 def branch_and_bound(
     d,
     variant: str = "baseline",

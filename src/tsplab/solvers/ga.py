@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from ..tours import TIE_EPS, nearest_neighbor_tour, randbelow, roulette, two_opt
-from .base import SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
+from .base import TINY, SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
 
-_TINY = 1e-12
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
 _OPERATOR_REACTION = 0.2
 
@@ -71,7 +70,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
         new_pop = [list(pop[i]) for i in ranked[:elite]]
         new_costs = [costs[i] for i in ranked[:elite]]
         # Baseline parent weights: costs change only at the end of a generation.
-        cum_weights = None if hybrid else list(accumulate(1.0 / (c + _TINY) for c in costs))
+        cum_weights = None if hybrid else list(accumulate(1.0 / (c + TINY) for c in costs))
         while len(new_pop) < p.population_size:
             if hybrid:
                 i1, i2 = _tournament(costs, getrandbits), _tournament(costs, getrandbits)

@@ -24,11 +24,10 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
 from ..tours import randbelow, roulette
-from .base import SolveBudget, SolveResult, SolverSpec, start_run
+from .base import TINY, SolveBudget, SolveResult, SolverSpec, start_run
 
 SARSA_VARIANTS = ("baseline", "boltzmann_o1")
 
-_TINY = 1e-12
 # Boltzmann temperature anneals linearly across episodes over this range.
 BOLTZMANN_T_START = 1.0
 BOLTZMANN_T_END = 0.1
@@ -83,11 +82,6 @@ def boltzmann_temperature(episode: int, total_episodes: int) -> float:
     return BOLTZMANN_T_START + (BOLTZMANN_T_END - BOLTZMANN_T_START) * frac
 
 
-def q_update(value: float, lr: float, reward: float, df: float, bootstrap: float) -> float:
-    """One temporal-difference update: value + lr*(reward + df*bootstrap - value)."""
-    return value + lr * (reward + df * bootstrap - value)
-
-
 def solve_qlearning(d, p: RlParams, b: SolveBudget, seed: int) -> SolveResult:
     return _train(d, p, b, seed, on_policy=False, boltzmann=False)
 
@@ -126,7 +120,7 @@ SARSA_SPEC = SolverSpec(
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
     tracker, matrix = start_run(d, b)
     n = len(matrix)
-    scale = max(float(matrix.max()), _TINY)
+    scale = max(float(matrix.max()), TINY)
     # Per-row memoryviews of the arrays read and write Python floats at about
     # list speed: scalar traffic builds no numpy scalar and no n x n list.
     dist = [memoryview(row) for row in matrix]
@@ -161,7 +155,6 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
             else:
                 a = target = _greedy(q, q_rows, s, unvisited, is_open)
             if prev is not None:
-                # q_update, inlined: this runs once per step.
                 row = q_rows[prev]
                 value = row[s]
                 row[s] = value + lr * (r + df * q_rows[s][target] - value)
@@ -171,7 +164,7 @@ def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann
             prev, s, r = s, a, -(dist[s][a] / scale)
         if prev is not None:
             # Terminal: fold in the closing edge, bootstrap nothing.
-            q_rows[prev][s] = q_update(q_rows[prev][s], lr, r - dist[s][start] / scale, 0.0, 0.0)
+            q_rows[prev][s] += lr * (r - dist[s][start] / scale - q_rows[prev][s])
         tracker.evaluate(tour, dist)
         if tracker.out_of_budget():
             break

@@ -50,13 +50,6 @@ def lundy_mees_beta(t_start: float, t_final: float, planned_steps: int) -> float
     return (t_start - t_final) / (planned_steps * t_start * t_final)
 
 
-def metropolis_accept(delta: float, temperature: float, rng: random.Random) -> bool:
-    """Accept non-worsening moves outright, worse ones with exp(-delta/T)."""
-    if delta <= 0.0:
-        return True
-    return rng.random() < math.exp(-delta / temperature)
-
-
 def solve_sa(
     d,
     p: SaParams,
@@ -90,9 +83,10 @@ def solve_sa(
         beta = lundy_mees_beta(t_start, t_final, max(planned, 1))
 
     # The proposal loop inlines tracker.out_of_budget, tours.randbelow,
-    # tours.reversal_delta, metropolis_accept and lundy_mees_step: the same
-    # checks, draws and float operations in the same order, without five
-    # calls per proposal. The pins in test_meta_solvers hold it to them.
+    # tours.reversal_delta and lundy_mees_step: the same checks, draws and
+    # float operations in the same order, without four calls per proposal.
+    # A move is accepted outright when delta <= 0, otherwise with probability
+    # exp(-delta / T) (Metropolis). The pins in test_meta_solvers hold it.
     cap = b.max_evaluations if b.max_evaluations is not None else math.inf
     limit = b.time_limit if b.time_limit is not None else math.inf
     started, now = tracker.started, time.perf_counter

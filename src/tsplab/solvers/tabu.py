@@ -52,9 +52,11 @@ def _first_below(cands, start: int, bound: float) -> int:
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
     tracker, matrix = start_run(d, b)
     n = len(matrix)
+    # Tours are costed on per-row memoryviews: Python floats, not numpy scalars.
+    dist = [memoryview(row) for row in matrix]
 
     current = nearest_neighbor_tour(matrix, start=0)
-    current_cost, _ = tracker.evaluate(current, matrix)
+    current_cost, _ = tracker.evaluate(current, dist)
     if n < 4:  # the 2-opt neighborhood is empty and the NN tour is final
         return tracker.result()
 
@@ -112,7 +114,7 @@ def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
         tabu[move_key(current, i, j)] = iteration + p.tenure
         current[i : j + 1] = current[i : j + 1][::-1]
         tracker.evaluations += 1
-        current_cost = tracker.offer_summed(current, float(cands[move]), matrix)
+        current_cost = tracker.offer_summed(current, float(cands[move]), dist)
         if len(tabu) > 4 * n * n:  # drop expired entries now and then
             tabu = {key: exp for key, exp in tabu.items() if exp >= iteration}
     return tracker.result()

@@ -167,6 +167,7 @@ class TestSolve:
         ("sa", "t_start=inf", "sa parameter t_start must be finite"),
         ("aco", "alpha=nan", "aco parameter alpha must be finite"),
         ("tabu", "tenure=0", "tenure must be >= 1"),
+        ("sa", "t_start=abc", "sa parameters: t_start must be a number, got 'abc'"),
     ])
     def test_bad_parameter_value_is_data_error(self, capsys, triangle_file, algorithm, config,
                                                message):

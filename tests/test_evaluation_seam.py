@@ -228,6 +228,7 @@ def test_tune_cli_rejects_a_repeated_instance_key(capsys):
     ("alns reaction_factor=1.5", "reaction_factor must be in"),
     ("ga mutation_rate=2", "mutation_rate must be in"),
     ("sarsa epsilon=1.5", "epsilon must be in"),
+    ("sa t_start=abc", "sa parameters: t_start must be a number, got 'abc'"),
 ])
 def test_bad_parameter_values_stop_the_plan_before_any_run(capsys, tmp_path, line, message):
     text = _QUICK + _PLAN_TAIL + line + "\n"
@@ -246,7 +247,10 @@ def test_bad_parameter_values_stop_the_plan_before_any_run(capsys, tmp_path, lin
     (_QUICK + "metric = mean\n" + _PLAN_TAIL, "metric must be best_cost or runtime, got 'mean'"),
     (_QUICK + _PLAN_TAIL.replace("seed=1", "seed=1 lo=5 hi=1"),
      "empty coordinate range: lo=5.0 > hi=1.0"),
-], ids=["repetitions", "metric", "lo above hi"])
+    ("repetitions = 1.5\n" + _PLAN_TAIL, "plan header: repetitions must be an integer, got '1.5'"),
+    (_QUICK + _PLAN_TAIL.replace("seed=1", "seed=x"),
+     "instance line 'random n=5 seed=x': seed must be an integer, got 'x'"),
+], ids=["repetitions", "metric", "lo above hi", "repetitions not an integer", "seed not an integer"])
 def test_bench_cli_rejects_bad_header_and_instance_values(capsys, tmp_path, text, message):
     plan, rows = tmp_path / "plan.txt", tmp_path / "rows.csv"
     plan.write_text(text, encoding="utf-8")
@@ -442,6 +446,18 @@ def test_read_csv_rejects_cells_write_csv_never_writes(capsys, tmp_path, case):
     assert code == 2
     assert f"error: {message}" in err
     assert out == ""
+
+
+def test_read_csv_names_the_line_and_column_of_a_cell_that_does_not_convert(capsys, tmp_path):
+    text = f"{CSV_HEADER}\n{ROW.replace(',0,', ',1,')}\n{ROW.replace(',5,', ',x,')}\n"
+    message = "CSV line 3: n must be an integer, got 'x'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv(text)
+    path = tmp_path / "runs.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "gap", "--csv", str(path))
+    assert code == 2
+    assert err == f"error: {message}\n" and out == ""
 
 
 # -- plan rounding ----------------------------------------------------------------------

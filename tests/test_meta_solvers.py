@@ -26,7 +26,6 @@ from tsplab import (
     generate_random_instance,
     lundy_mees_beta,
     lundy_mees_step,
-    metropolis_accept,
     nearest_neighbor_tour,
     nn_seed_count,
     run_solver,
@@ -523,12 +522,6 @@ def test_lundy_mees_beta_reaches_final_temperature():
     for _ in range(k):
         t = lundy_mees_step(t, beta)
     assert t == pytest.approx(tf, rel=1e-9)
-
-
-def test_metropolis_zero_delta_always_accepts():
-    rng = random.Random(0)
-    assert all(metropolis_accept(0.0, t, rng) for t in (0.001, 1.0, 50.0))
-    assert all(metropolis_accept(-1.0, t, rng) for t in (0.001, 1.0, 50.0))
 
 
 def test_lundy_mees_temperatures_strictly_decreasing():

@@ -14,7 +14,6 @@ from tsplab import (
     RlParams,
     SolveBudget,
     boltzmann_probabilities,
-    q_update,
     solve_qlearning,
     solve_sarsa,
     tour_length,
@@ -41,13 +40,6 @@ def test_rl_solvers_solve_345_triangle(tri345):
     for call in (solve_qlearning, solve_sarsa):
         result = call(d, p, GENEROUS, 1)
         assert result.best_cost == pytest.approx(12.0)
-
-
-def test_q_update_arithmetic():
-    # one update from zero with lr=0.5, df=0 and reward -0.5
-    assert q_update(0.0, 0.5, -0.5, 0.0, 0.0) == pytest.approx(-0.25, abs=1e-15)
-    # no-op when lr drives toward the same value
-    assert q_update(1.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_qlearning_reaches_optimum_on_5_cities():
