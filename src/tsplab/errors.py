@@ -46,7 +46,7 @@ class DegenerateInput(TsplabError):
 
 
 class EmptyInput(TsplabError):
-    """An input vector is empty."""
+    """An input vector, or a distance matrix with no city, is empty."""
 
 
 class NonFiniteInput(TsplabError):

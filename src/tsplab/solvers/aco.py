@@ -33,8 +33,7 @@ class AcoParams:
 
 
 def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, dist = start_run(d, b)
-    rows = dist.tolist()
+    tracker, dist, rows = start_run(d, b)
     n = len(d)
     rng = random.Random(seed)
 

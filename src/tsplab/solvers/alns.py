@@ -33,8 +33,7 @@ class AlnsParams:
 
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix = start_run(d, b)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
     rng = random.Random(seed)
 

@@ -44,8 +44,7 @@ def branch_and_bound(
 ) -> SolveResult:
     if variant not in BB_VARIANTS:
         raise ValueError(f"unknown branch and bound variant: {variant!r}")
-    tracker, matrix = start_run(d, None)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, None)
     n = len(dist)
     nn_tour = nearest_neighbor_tour(matrix, start=0)
     nn_cost = tour_length(nn_tour, dist)

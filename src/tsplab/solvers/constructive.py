@@ -157,8 +157,8 @@ def _timed(construct):
     """A SolverSpec run function that times one construction and evaluates its
     tour; the matrix is read and checked once, through start_run."""
     def run(inst, d, params, variant, budget, seed) -> SolveResult:
-        tracker, matrix = start_run(d, budget)
-        tracker.evaluate(construct(inst, matrix), matrix)
+        tracker, matrix, rows = start_run(d, budget)
+        tracker.evaluate(construct(inst, matrix), rows)
         return tracker.result()
     return run
 

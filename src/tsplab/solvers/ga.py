@@ -53,8 +53,7 @@ def nn_seed_count(population_size: int) -> int:
 def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline") -> SolveResult:
     if variant not in GA_VARIANTS:
         raise ValueError(f"unknown GA variant: {variant!r}")
-    tracker, matrix = start_run(d, b)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits  # randbelow(getrandbits, k) draws as rng.randrange(k)

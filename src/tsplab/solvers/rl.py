@@ -8,9 +8,10 @@ the best tour seen across episodes; a final greedy rollout is offered to the
 tracker as well so it lands in the trajectory whenever it improves.
 
 The Q table is one n x n float array. A greedy pick over many open cities is
-one masked numpy argmax; scalar reads and writes, and greedy picks over few
-open cities, go through per-row memoryviews at Python-float speed. Both
-picks return the same city, so the crossover never changes a seeded run.
+one masked numpy argmax; scalar reads and writes of Q, and greedy picks over
+few open cities, go through per-row memoryviews of it at Python-float speed.
+Both picks return the same city, so the crossover never changes a seeded run.
+Distances are read through start_run's rows.
 """
 
 from __future__ import annotations
@@ -118,12 +119,9 @@ SARSA_SPEC = SolverSpec(
 
 
 def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
-    tracker, matrix = start_run(d, b)
+    tracker, matrix, dist = start_run(d, b)
     n = len(matrix)
     scale = max(float(matrix.max()), TINY)
-    # Per-row memoryviews of the arrays read and write Python floats at about
-    # list speed: scalar traffic builds no numpy scalar and no n x n list.
-    dist = [memoryview(row) for row in matrix]
     q = np.zeros((n, n))
     q_rows = [memoryview(row) for row in q]
     # The open cities, kept twice: ascending in `unvisited`, and as a mask.

@@ -60,8 +60,7 @@ def solve_sa(
 ) -> SolveResult:
     if variant not in SA_VARIANTS:
         raise ValueError(f"unknown SA variant: {variant!r}")
-    tracker, matrix = start_run(d, b)
-    dist = matrix.tolist()
+    tracker, matrix, dist = start_run(d, b)
     n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits

@@ -50,10 +50,8 @@ def _first_below(cands, start: int, bound: float) -> int:
 
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix = start_run(d, b)
+    tracker, matrix, dist = start_run(d, b)
     n = len(matrix)
-    # Tours are costed on per-row memoryviews: Python floats, not numpy scalars.
-    dist = [memoryview(row) for row in matrix]
 
     current = nearest_neighbor_tour(matrix, start=0)
     current_cost, _ = tracker.evaluate(current, dist)

@@ -162,7 +162,8 @@ def two_opt(
 
     d is indexed as given, d[a][b], in the inner loop: a list of lists (such
     as ndarray.tolist()) runs about 3x faster than an ndarray, whose every
-    read builds a numpy scalar.
+    read builds a numpy scalar, and per-row memoryviews (the rows solvers
+    get from start_run at ROW_VIEW_MIN cities and up) about 2x.
     """
     if mode not in ("full", "stochastic"):
         raise ValueError(f"unknown two_opt mode: {mode!r}")

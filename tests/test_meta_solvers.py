@@ -13,6 +13,7 @@ from tsplab import (
     AlnsParams,
     GaParams,
     DimensionMismatch,
+    EmptyInput,
     NonFiniteInput,
     NonSymmetric,
     RlParams,
@@ -40,6 +41,7 @@ from tsplab import (
     two_opt,
     validate_tour,
 )
+from tsplab.solvers import base
 from tsplab.solvers.aco import _construct
 from tsplab.solvers.alns import update_weights
 from tsplab.solvers.ga import _edge_recombination, _initial_population, _order_crossover
@@ -111,6 +113,14 @@ def test_meta_solver_seeded_determinism():
         assert a.best_cost == b.best_cost, name
         assert a.evaluations == b.evaluations, name
         assert [c for _, c in a.trajectory] == [c for _, c in b.trajectory], name
+
+
+@pytest.mark.parametrize("cap", [2.5, 1.5, 1e9 + 0.5])
+def test_evaluation_cap_must_be_a_whole_number(cap):
+    # A cap of 2.5 used to run to 3 evaluations, ants or nodes.
+    with pytest.raises(ValueError, match=f"max_evaluations must be a whole number >= 1, got {cap}"):
+        SolveBudget(max_evaluations=cap)
+    assert SolveBudget(max_evaluations=3).max_evaluations == 3
 
 
 def test_meta_solver_evaluation_budget_respected():
@@ -339,6 +349,33 @@ def test_asymmetry_within_tolerance_still_runs(algorithm):
     d[1, 2] += 1e-10
     result = run_solver(algorithm, inst, d, None, "baseline", SolveBudget(max_evaluations=50), 0)
     assert validate_tour(result.best, 6).ok
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_matrix_with_no_city_is_refused(algorithm):
+    with pytest.raises(EmptyInput, match="no city"):
+        _SOLVE_CALLS[algorithm](np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("algorithm,variant",
+                         [(a, v) for a, spec in ALGORITHMS.items() for v in spec.variants])
+def test_list_rows_and_memoryview_rows_give_the_same_run(algorithm, variant, monkeypatch):
+    # start_run reads a matrix below ROW_VIEW_MIN cities as lists and from
+    # there as per-row memoryviews; both forms, over a C- or a Fortran-ordered
+    # array, must give the same floats and so the same run.
+    inst = generate_random_instance(12, 3)
+    d = build_distance_matrix(inst)
+
+    def outcome(matrix, row_view_min):
+        monkeypatch.setattr(base, "ROW_VIEW_MIN", row_view_min)
+        r = run_solver(algorithm, inst, matrix, None, variant, SolveBudget(max_evaluations=300), 7)
+        costs = None if r.trajectory is None else [c.hex() for _, c in r.trajectory]
+        return r.best, r.best_cost.hex(), r.evaluations, r.nodes_expanded, costs
+
+    runs = [outcome(matrix, row_view_min)
+            for matrix in (np.ascontiguousarray(d), np.asfortranarray(d))
+            for row_view_min in (0, len(d) + 1)]
+    assert runs[1:] == runs[:1] * 3
 
 
 class _SlowMatrix:
