@@ -463,10 +463,11 @@ def gap_table(records: list[RunRecord]) -> list[dict]:
 
 
 def json_report(plan: ExperimentPlan, records: list[RunRecord]) -> dict:
-    """Versioned report: plan echo, per-group stats, gap table."""
+    """Versioned report: plan echo, per-group stats, gap table. Summary rows
+    hold scalars only, so a shallow copy of each is its full dict."""
     return {
         "schema": 1,
         "plan": asdict(plan),
-        "summary": [asdict(s) for s in summarize(records, metric=plan.metric)],
+        "summary": [dict(vars(s)) for s in summarize(records, metric=plan.metric)],
         "gaps": gap_table(records),
     }

@@ -6,6 +6,8 @@ derived from those specs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import DimensionMismatch, InvalidTour, UnknownAlgorithm, UnknownParameter
 from ..instances import Instance
 from ..tours import costs_agree, tour_length, validate_tour
@@ -96,9 +98,9 @@ def run_solver(
     values override the original preset, so callers may give only the knobs
     they care about. A matrix whose row count is not the instance's dimension
     raises DimensionMismatch before the run. The returned tour is re-validated
-    as a permutation of the instance's cities and re-costed on `matrix`; a tour
-    that fails, or a reported cost off by more than 1e-9 relative, raises
-    InvalidTour. The result carries the re-costed best_cost.
+    as a permutation of the instance's cities and re-costed on `matrix` read
+    as float64; a tour that fails, or a reported cost off by more than 1e-9
+    relative, raises InvalidTour. The result carries the re-costed best_cost.
     """
     spec = get_algorithm(algorithm)
     _, _, params = _resolve(algorithm, variant, None, values)
@@ -110,7 +112,7 @@ def run_solver(
     check = validate_tour(result.best, inst.dimension)
     if not check.ok:
         raise InvalidTour(f"{algorithm} returned an invalid tour: {check.problem}")
-    cost = tour_length(result.best, matrix)
+    cost = tour_length(result.best, np.asarray(matrix, dtype=float))
     if not costs_agree(cost, result.best_cost):
         raise InvalidTour(f"{algorithm} reported cost {result.best_cost} != recomputed {cost}")
     result.best_cost = cost

@@ -25,15 +25,12 @@ _CAP_CHECK_MASK = 0x3FF  # consult the wall clock every 1024 bound evaluations
 
 
 def bound_cache(d) -> tuple[list[float], list[float]]:
-    """Per-city smallest and second-smallest incident edge weights."""
-    n = len(d)
-    min1 = [0.0] * n
-    min2 = [0.0] * n
-    for i in range(n):
-        row = sorted(float(d[i][j]) for j in range(n) if j != i)
-        min1[i] = row[0]
-        min2[i] = row[1] if len(row) > 1 else row[0]
-    return min1, min2
+    """Per-city smallest and second-smallest incident edge weights (the
+    smallest twice at n = 2), from one stable sort of the off-diagonal rows."""
+    ranked = np.array(d, dtype=float)
+    np.fill_diagonal(ranked, np.inf)
+    ranked.sort(axis=1, kind="stable")
+    return ranked[:, 0].tolist(), ranked[:, 1 if len(ranked) > 2 else 0].tolist()
 
 
 def branch_and_bound(
@@ -104,7 +101,7 @@ def branch_and_bound(
                 return
 
     if n > 2:
-        min1, min2 = bound_cache(dist)
+        min1, min2 = bound_cache(matrix)
         dfs(0, 1, 0.0, sum(m1 + m2 for m1, m2 in zip(min1, min2)) / 2.0)
     if best is None:
         # A cap fired before any complete tour, or n <= 2, whose one tour is NN's.

@@ -7,7 +7,8 @@ elitism, generational replacement.
 hybrid_r1 layers on: nearest-neighbor seeding of max(1, N//5) individuals
 (only when N >= 5), tournament selection of size 2 on rank (lower cost
 wins), adaptive crossover choice among {OX, ER, BCR} scored 3/1/0, a
-stochastic 2-opt pass over every offspring, and duplicate-cost diversity
+stochastic 2-opt pass over every offspring (_two_opt_pass, n sampled
+reversals, not tours.two_opt's full search), and duplicate-cost diversity
 replacement.
 """
 
@@ -18,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from ..tours import TIE_EPS, nearest_neighbor_tour, randbelow, roulette, two_opt
+from ..tours import TIE_EPS, nearest_neighbor_tour, randbelow, reversal_delta, roulette
 from .base import TINY, SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
 
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
@@ -88,7 +89,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
                 a, bpos = randbelow(getrandbits, n), randbelow(getrandbits, n)
                 child[a], child[bpos] = child[bpos], child[a]
             if hybrid:
-                child = two_opt(child, dist, mode="stochastic", rng=rng)
+                _two_opt_pass(child, dist, getrandbits)
             child_cost, was_best = tracker.evaluate(child, dist)
             if hybrid:
                 score = operator_score(was_best, child_cost < min(costs[i1], costs[i2]))
@@ -195,6 +196,22 @@ def _best_cost_insertion_crossover(p1, p2, dist, getrandbits) -> list[int]:
                 best_pos, best_delta = pos, delta
         child.insert(best_pos, city)
     return child
+
+
+def _two_opt_pass(tour, dist, getrandbits) -> None:
+    # hybrid_r1's stochastic 2-opt, in place: n random reversals (i as
+    # randrange(n - 1), then j as randrange(i + 1, n)), each applied if it
+    # lowers the cost by more than TIE_EPS. Below 4 cities it draws nothing.
+    n = len(tour)
+    if n < 4:
+        return
+    for _ in range(n):
+        i = randbelow(getrandbits, n - 1)
+        j = i + 1 + randbelow(getrandbits, n - i - 1)
+        if i == 0 and j == n - 1:
+            continue  # reversing the whole tour is a no-op
+        if reversal_delta(tour, dist, i, j) < -TIE_EPS:
+            tour[i : j + 1] = tour[i : j + 1][::-1]
 
 
 def _refresh_duplicates(pop, costs, dist, n, p, rng, tracker):

@@ -8,7 +8,6 @@ lowest index so seeded runs reproduce exactly.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -148,50 +147,26 @@ def cheapest_insertion(tour, pending, d, criterion: str = "detour") -> list[int]
     return tour
 
 
-def two_opt(
-    order,
-    d,
-    mode: str = "full",
-    rng: random.Random | None = None,
-) -> list[int]:
-    """2-opt local search; never increases cost.
-
-    mode="full": first-improvement sweeps until no improving reversal exists.
-    mode="stochastic": samples n random reversal pairs, applying each
-    improving one; requires rng.
+def two_opt(order, d) -> list[int]:
+    """First-improvement 2-opt local search: sweeps, applying each reversal
+    that lowers the cost by more than TIE_EPS, until none does. Never
+    increases cost; tours of fewer than 4 cities come back unchanged.
 
     d is indexed as given, d[a][b], in the inner loop: a list of lists (such
     as ndarray.tolist()) runs about 3x faster than an ndarray, whose every
     read builds a numpy scalar, and per-row memoryviews (the rows solvers
     get from start_run at ROW_VIEW_MIN cities and up) about 2x.
     """
-    if mode not in ("full", "stochastic"):
-        raise ValueError(f"unknown two_opt mode: {mode!r}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic mode needs an rng")
     n = len(order)
     tour = list(order)
-    if n < 4:
-        return tour
-    if mode == "full":
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    if i == 0 and j == n - 1:
-                        continue  # reversing the whole tour is a no-op
-                    if reversal_delta(tour, d, i, j) < -TIE_EPS:
-                        tour[i : j + 1] = tour[i : j + 1][::-1]
-                        improved = True
-        return tour
-    getrandbits = rng.getrandbits
-    for _ in range(n):
-        # rng.randrange(n - 1), then rng.randrange(i + 1, n): the same draws.
-        i = randbelow(getrandbits, n - 1)
-        j = i + 1 + randbelow(getrandbits, n - i - 1)
-        if i == 0 and j == n - 1:
-            continue
-        if reversal_delta(tour, d, i, j) < -TIE_EPS:
-            tour[i : j + 1] = tour[i : j + 1][::-1]
+    improved = n >= 4
+    while improved:
+        improved = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                if i == 0 and j == n - 1:
+                    continue  # reversing the whole tour is a no-op
+                if reversal_delta(tour, d, i, j) < -TIE_EPS:
+                    tour[i : j + 1] = tour[i : j + 1][::-1]
+                    improved = True
     return tour

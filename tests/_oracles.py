@@ -381,3 +381,15 @@ def reference_rl_train(d, learning_rate, discount, epsilon, episodes, max_evalua
             unvisited.remove(tour[-1])
         evaluate(tour)
     return record["best"], record["best_cost"], record["evaluations"], record["costs"]
+
+
+def reference_bound_cache(d):
+    """Per-city smallest and second-smallest off-diagonal weights, by sorting
+    each row in Python (the smallest twice when a row has one entry)."""
+    n = len(d)
+    min1, min2 = [], []
+    for i in range(n):
+        row = sorted(float(d[i][j]) for j in range(n) if j != i)
+        min1.append(row[0])
+        min2.append(row[1] if len(row) > 1 else row[0])
+    return min1, min2

@@ -1,7 +1,10 @@
+import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsplab import (
     NonSymmetric,
@@ -16,8 +19,8 @@ from tsplab import (
     validate_tour,
 )
 
-from ._oracles import RND12_S3_OPTIMUM, brute_force_optimum, held_karp_optimum
-from .conftest import random_matrix
+from ._oracles import RND12_S3_OPTIMUM, brute_force_optimum, held_karp_optimum, reference_bound_cache
+from .conftest import nint_matrix, random_matrix
 
 
 def root_bound(d) -> float:
@@ -32,6 +35,26 @@ def test_bound_cache_345(tri345):
     assert min1 == [3.0, 3.0, 4.0]
     assert min2 == [4.0, 5.0, 5.0]
     assert root_bound(d) == pytest.approx(12.0)
+
+
+@st.composite
+def _bound_matrix(draw):
+    n, seed = draw(st.integers(2, 40)), draw(st.integers(0, 10_000))
+    layout = draw(st.sampled_from(["random", "nint", "coincident"]))
+    if layout == "random":
+        return random_matrix(n, seed)
+    if layout == "nint":  # small integer weights: many exact ties in a row
+        return nint_matrix(n, seed)
+    pool = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4))
+    pts = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array([[math.dist(p, q) for q in pts] for p in pts])  # coincident: zero weights
+
+
+@given(_bound_matrix())
+@settings(max_examples=60, deadline=None)
+def test_bound_cache_matches_the_per_row_sort(d):
+    assert [[x.hex() for x in col] for col in bound_cache(d)] == \
+        [[x.hex() for x in col] for col in reference_bound_cache(d)]
 
 
 def test_asymmetric_matrix_is_refused_instead_of_a_false_proof():

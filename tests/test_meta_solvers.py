@@ -277,7 +277,7 @@ _ENTRY_CALLS = {
     "bb": lambda d: branch_and_bound(d, "baseline"),
     "bb-enhanced": lambda d: branch_and_bound(d, "enhanced_r1"),
     "christofides": christofides,
-    "two_opt": lambda d: two_opt([5, 0, 9, 3, 11, 1, 7, 2, 10, 4, 8, 6], d, mode="full"),
+    "two_opt": lambda d: two_opt([5, 0, 9, 3, 11, 1, 7, 2, 10, 4, 8, 6], d),
 }
 
 

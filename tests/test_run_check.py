@@ -3,6 +3,7 @@ runs a solver (library, bench, solve, tune) gets the check from it."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tsplab import (
@@ -120,3 +121,18 @@ def test_run_solver_builds_the_params_bundle_once(monkeypatch):
     d = build_distance_matrix(INST)
     run_solver("sarsa", INST, d, {"episodes": 2}, "baseline", SolveBudget(time_limit=1.0), 0)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("algorithm,variant",
+                         [(a, v) for a, spec in ALGORITHMS.items() for v in spec.variants])
+def test_float32_matrix_runs_as_its_float64_upcast(algorithm, variant):
+    # Every solver costs in float64; the re-cost must too, or a float32 sum
+    # disagrees with the reported cost and the run is refused.
+    inst = generate_random_instance(12, 5)
+    d32 = build_distance_matrix(inst).astype(np.float32)
+    budget = SolveBudget(time_limit=10.0, max_evaluations=200)
+    single, double = (run_solver(algorithm, inst, d, None, variant, budget, 0)
+                      for d in (d32, d32.astype(float)))
+    assert single.best == double.best
+    assert single.best_cost.hex() == double.best_cost.hex()
+    assert (single.evaluations, single.nodes_expanded) == (double.evaluations, double.nodes_expanded)

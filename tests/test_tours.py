@@ -15,6 +15,7 @@ from tsplab import (
     validate_tour,
 )
 from tsplab.instances import Instance, build_distance_matrix
+from tsplab.solvers.ga import _two_opt_pass
 from tsplab.tours import randbelow, roulette
 
 from ._oracles import has_improving_two_opt, reference_cheapest_insertion, tour_cost
@@ -93,29 +94,20 @@ def test_nearest_neighbor_tie_takes_lower_index():
 def test_two_opt_uncrosses_square(unit_square):
     _, d = unit_square
     crossed = [0, 2, 1, 3]
-    fixed = two_opt(crossed, d, mode="full")
+    fixed = two_opt(crossed, d)
     assert tour_length(fixed, d) == pytest.approx(4.0)
 
 
 def test_two_opt_fixed_point(unit_square):
     _, d = unit_square
     tour = [0, 1, 2, 3]
-    assert two_opt(tour, d, mode="full") == tour
-
-
-@pytest.mark.parametrize("n", [3, 8])
-def test_two_opt_rejects_bad_mode_and_missing_rng_at_any_size(n):
-    d = random_matrix(n, 1)
-    with pytest.raises(ValueError, match="unknown two_opt mode"):
-        two_opt(list(range(n)), d, mode="bogus")
-    with pytest.raises(ValueError, match="needs an rng"):
-        two_opt(list(range(n)), d, mode="stochastic")
+    assert two_opt(tour, d) == tour
 
 
 def test_two_opt_full_reaches_local_optimum():
     d = random_matrix(8, 3)
     start = list(range(8))
-    out = two_opt(start, d, mode="full")
+    out = two_opt(start, d)
     assert validate_tour(out, 8).ok
     assert not has_improving_two_opt(out, d)
 
@@ -128,15 +120,36 @@ def test_two_opt_never_worsens_and_stays_valid(n, seed, shuffle_seed):
     random.Random(shuffle_seed).shuffle(order)
     before = tour_length(order, d)
 
-    full = two_opt(order, d, mode="full")
+    full = two_opt(order, d)
     assert validate_tour(full, n).ok
     assert tour_length(full, d) <= before + 1e-9
     assert not has_improving_two_opt(full, d)
 
     rng = random.Random(shuffle_seed)
-    sto = two_opt(order, d, mode="stochastic", rng=rng)
+    sto = list(order)
+    _two_opt_pass(sto, d, rng.getrandbits)
     assert validate_tour(sto, n).ok
     assert tour_length(sto, d) <= before + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 13, 40])
+def test_ga_two_opt_pass_draws_n_index_pairs(n):
+    # n pairs (randrange(n - 1), randrange(i + 1, n)) from 4 cities up, none
+    # below; the next rng.random() shows that no other bit was consumed.
+    d = random_matrix(n, n)
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    rng, ref = random.Random(7), random.Random(7)
+    tour, expected = list(order), list(order)
+    _two_opt_pass(tour, d, rng.getrandbits)
+    for _ in range(n if n >= 4 else 0):
+        i = ref.randrange(n - 1)
+        j = ref.randrange(i + 1, n)
+        flipped = expected[:i] + expected[i : j + 1][::-1] + expected[j + 1 :]
+        if (i, j) != (0, n - 1) and tour_cost(flipped, d) < tour_cost(expected, d) - 1e-9:
+            expected = flipped
+    assert rng.random() == ref.random()
+    assert tour == expected
 
 
 def test_two_opt_cost_agrees_with_oracle_cost():
