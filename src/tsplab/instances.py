@@ -186,7 +186,7 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     if rounding not in ROUNDING_MODES:
         raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {rounding!r}")
     if inst.kind == "EXPLICIT":
-        d = np.asarray(inst.matrix, dtype=float)
+        d = np.array(inst.matrix, dtype=float)
         if d.shape != (inst.dimension, inst.dimension):
             raise CountMismatch(f"matrix shape {d.shape} for dimension {inst.dimension}")
         if not np.isfinite(d).all():

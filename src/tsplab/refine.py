@@ -143,26 +143,6 @@ class RefinementReport:
         kinds = {o.verdict.kind for o in self.outcomes}
         return EXECUTION_ERROR in kinds and INVALID_SOLUTION in kinds
 
-    def as_dict(self) -> dict:
-        return {
-            "succeeded": self.succeeded,
-            "attempts": self.attempts,
-            "corrections": self.corrections,
-            "both_failures": self.both_failures,
-            "evaluator_error": self.evaluator_error,
-            "outcomes": [
-                {
-                    "attempt": o.attempt,
-                    "verdict": o.verdict.kind,
-                    "message": o.verdict.message,
-                    "temperature": o.temperature,
-                    "feedback": o.feedback,
-                }
-                for o in self.outcomes
-            ],
-            "final_candidate": self.final_candidate,
-        }
-
 
 def render_prompt(template: PromptTemplate, request: RefinementRequest) -> str:
     """Substitute the three placeholders in one left-to-right pass.

@@ -63,8 +63,7 @@ def resolve_config(
 def _resolve(algorithm: str, variant: str, preset: str | None, values: dict | None):
     """resolve_config's (config_id, values) plus the params bundle built from them."""
     spec = get_algorithm(algorithm)
-    if variant not in spec.variants:
-        raise ValueError(f"{algorithm} has no variant {variant!r}")
+    spec.check_variant(variant)
     if preset is not None and values:
         raise ValueError(f"give either preset= or inline values for {algorithm}, not both")
     if preset is not None:
@@ -106,8 +105,6 @@ def run_solver(
     _, _, params = _resolve(algorithm, variant, None, values)
     if len(matrix) != inst.dimension:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows for {inst.dimension} cities")
-    if spec.kind == "stochastic" and budget is None:
-        raise ValueError(f"{algorithm} needs a budget")
     result = spec.run(inst, matrix, params, variant, budget, seed)
     check = validate_tour(result.best, inst.dimension)
     if not check.ok:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import roulette
-from .base import TINY, SolveBudget, SolveResult, SolverSpec, start_run
+from .base import TINY, SolveBudget, SolveResult, SolverSpec
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class AcoParams:
 
 
 def solve_aco(d, p: AcoParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, dist, rows = start_run(d, b)
+    tracker, dist, rows = SPEC.start(d, b)
     n = len(d)
     rng = random.Random(seed)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from ..tours import cheapest_insertion, nearest_neighbor_tour, roulette
-from .base import SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
+from .base import SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class AlnsParams:
 
 
 def solve_alns(d, p: AlnsParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix, dist = SPEC.start(d, b)
     n = len(dist)
     rng = random.Random(seed)
 

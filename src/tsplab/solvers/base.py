@@ -225,6 +225,18 @@ class SolverSpec:
     params: type | None = None
     tuning: dict[str, tuple[tuple[float, float], tuple]] = field(default_factory=dict)
 
+    def check_variant(self, variant: str) -> None:
+        if variant not in self.variants:
+            raise ValueError(f"{self.name} has no variant {variant!r}")
+
+    def start(self, d, budget: SolveBudget | None, variant: str = "baseline"):
+        """start_run(d, budget) after refusing an unknown variant and, for a
+        stochastic kind, a missing budget; nothing of d is read before."""
+        self.check_variant(variant)
+        if self.kind == "stochastic" and budget is None:
+            raise ValueError(f"{self.name} needs a budget")
+        return start_run(d, budget)
+
     @property
     def tunable(self) -> bool:
         return bool(self.tuning)
@@ -253,7 +265,8 @@ class SolverSpec:
 
     def make_params(self, values: dict):
         """The params bundle: the original preset overridden by values, each
-        finite and coerced to its field type; None for solvers without params."""
+        finite, whole where its field is an int, and converted to its field
+        type; None for solvers without params."""
         if self.params is None:
             return None
         types = self.field_types
@@ -261,6 +274,8 @@ class SolverSpec:
         for k, v in merged.items():
             if not math.isfinite(v):
                 raise ValueError(f"{self.name} parameter {k} must be finite, got {v}")
+            if types[k] is int and v % 1:
+                raise ValueError(f"{self.name} parameter {k} must be a whole number, got {v}")
         return self.params(**{
-            k: int(round(v)) if types[k] is int else float(v) for k, v in merged.items()
+            k: int(v) if types[k] is int else float(v) for k, v in merged.items()
         })

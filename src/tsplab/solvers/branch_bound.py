@@ -17,9 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
-from .base import SolveResult, SolverSpec, start_run
-
-BB_VARIANTS = ("baseline", "enhanced_r1")
+from .base import SolveResult, SolverSpec
 
 _CAP_CHECK_MASK = 0x3FF  # consult the wall clock every 1024 bound evaluations
 
@@ -39,9 +37,7 @@ def branch_and_bound(
     node_cap: int | None = None,
     time_cap: float | None = None,
 ) -> SolveResult:
-    if variant not in BB_VARIANTS:
-        raise ValueError(f"unknown branch and bound variant: {variant!r}")
-    tracker, matrix, dist = start_run(d, None)
+    tracker, matrix, dist = SPEC.start(d, None, variant)
     n = len(dist)
     nn_tour = nearest_neighbor_tour(matrix, start=0)
     nn_cost = tour_length(nn_tour, dist)
@@ -117,4 +113,4 @@ def _run(inst, d, params, variant, budget, seed) -> SolveResult:
     return branch_and_bound(d, variant, *caps)
 
 
-SPEC = SolverSpec("branch_and_bound", "exact", BB_VARIANTS, run=_run)
+SPEC = SolverSpec("branch_and_bound", "exact", ("baseline", "enhanced_r1"), run=_run)

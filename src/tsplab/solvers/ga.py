@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from ..tours import TIE_EPS, nearest_neighbor_tour, randbelow, reversal_delta, roulette
-from .base import TINY, SolveBudget, SolveResult, SolverSpec, operator_score, start_run, update_weights
+from .base import TINY, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
 
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
 _OPERATOR_REACTION = 0.2
-
-GA_VARIANTS = ("baseline", "hybrid_r1")
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,7 @@ def nn_seed_count(population_size: int) -> int:
 
 
 def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline") -> SolveResult:
-    if variant not in GA_VARIANTS:
-        raise ValueError(f"unknown GA variant: {variant!r}")
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix, dist = SPEC.start(d, b, variant)
     n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits  # randbelow(getrandbits, k) draws as rng.randrange(k)
@@ -105,7 +101,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
 
 
 SPEC = SolverSpec(
-    "ga", "stochastic", GA_VARIANTS,
+    "ga", "stochastic", ("baseline", "hybrid_r1"),
     run=lambda inst, d, p, variant, b, seed: solve_ga(d, p, b, seed, variant=variant),
     params=GaParams,
     tuning={

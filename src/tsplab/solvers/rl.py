@@ -25,9 +25,7 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteInput
 from ..tours import randbelow, roulette
-from .base import TINY, SolveBudget, SolveResult, SolverSpec, start_run
-
-SARSA_VARIANTS = ("baseline", "boltzmann_o1")
+from .base import TINY, SolveBudget, SolveResult, SolverSpec
 
 # Boltzmann temperature anneals linearly across episodes over this range.
 BOLTZMANN_T_START = 1.0
@@ -84,13 +82,12 @@ def boltzmann_temperature(episode: int, total_episodes: int) -> float:
 
 
 def solve_qlearning(d, p: RlParams, b: SolveBudget, seed: int) -> SolveResult:
-    return _train(d, p, b, seed, on_policy=False, boltzmann=False)
+    return _train(QLEARNING_SPEC.start(d, b), p, seed, on_policy=False, boltzmann=False)
 
 
 def solve_sarsa(d, p: RlParams, b: SolveBudget, seed: int, variant: str = "baseline") -> SolveResult:
-    if variant not in SARSA_VARIANTS:
-        raise ValueError(f"unknown SARSA variant: {variant!r}")
-    return _train(d, p, b, seed, on_policy=True, boltzmann=variant == "boltzmann_o1")
+    started = SARSA_SPEC.start(d, b, variant)
+    return _train(started, p, seed, on_policy=True, boltzmann=variant == "boltzmann_o1")
 
 
 QLEARNING_SPEC = SolverSpec(
@@ -106,7 +103,7 @@ QLEARNING_SPEC = SolverSpec(
 )
 
 SARSA_SPEC = SolverSpec(
-    "sarsa", "stochastic", SARSA_VARIANTS,
+    "sarsa", "stochastic", ("baseline", "boltzmann_o1"),
     run=lambda inst, d, p, variant, b, seed: solve_sarsa(d, p, b, seed, variant=variant),
     params=RlParams,
     tuning={
@@ -118,8 +115,8 @@ SARSA_SPEC = SolverSpec(
 )
 
 
-def _train(d, p: RlParams, b: SolveBudget, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b)
+def _train(started, p: RlParams, seed: int, on_policy: bool, boltzmann: bool) -> SolveResult:
+    tracker, matrix, dist = started
     n = len(matrix)
     scale = max(float(matrix.max()), TINY)
     q = np.zeros((n, n))

@@ -18,9 +18,7 @@ import time
 from dataclasses import dataclass
 
 from ..tours import nearest_neighbor_tour
-from .base import SolveBudget, SolveResult, SolverSpec, start_run
-
-SA_VARIANTS = ("baseline", "lundy_mees_r1")
+from .base import SolveBudget, SolveResult, SolverSpec
 
 # Planned Lundy-Mees sweep length per city when the budget gives no
 # evaluation cap to plan K from.
@@ -58,9 +56,7 @@ def solve_sa(
     variant: str = "baseline",
     temperature_trace: list[float] | None = None,
 ) -> SolveResult:
-    if variant not in SA_VARIANTS:
-        raise ValueError(f"unknown SA variant: {variant!r}")
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix, dist = SPEC.start(d, b, variant)
     n = len(dist)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
@@ -128,7 +124,7 @@ def solve_sa(
 
 
 SPEC = SolverSpec(
-    "sa", "stochastic", SA_VARIANTS,
+    "sa", "stochastic", ("baseline", "lundy_mees_r1"),
     run=lambda inst, d, p, variant, b, seed: solve_sa(d, p, b, seed, variant=variant),
     params=SaParams,
     tuning={

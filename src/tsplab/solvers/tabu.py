@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tours import TIE_EPS, nearest_neighbor_tour
-from .base import SolveBudget, SolveResult, SolverSpec, start_run
+from .base import SolveBudget, SolveResult, SolverSpec
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _first_below(cands, start: int, bound: float) -> int:
 
 
 def solve_tabu(d, p: TabuParams, b: SolveBudget, seed: int) -> SolveResult:
-    tracker, matrix, dist = start_run(d, b)
+    tracker, matrix, dist = SPEC.start(d, b)
     n = len(matrix)
 
     current = nearest_neighbor_tour(matrix, start=0)

@@ -48,7 +48,6 @@ class RaceState:
 
 def race(
     algorithm: str,
-    space: ParamSpace | None = None,
     instances: list[Instance] | None = None,
     budget: int = 500,
     candidates: int = 16,
@@ -67,8 +66,7 @@ def race(
     default builds the distance matrix and runs the real solver with the
     protocol time limit.
     """
-    if space is None:
-        space = parameter_space(algorithm)
+    space = parameter_space(algorithm)
     if candidates < 2:
         raise ValueError(f"candidates must be >= 2, got {candidates}")
     if not instances:

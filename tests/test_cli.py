@@ -168,6 +168,7 @@ class TestSolve:
         ("aco", "alpha=nan", "aco parameter alpha must be finite"),
         ("tabu", "tenure=0", "tenure must be >= 1"),
         ("sa", "t_start=abc", "sa parameters: t_start must be a number, got 'abc'"),
+        ("aco", "ants=2.5", "aco parameter ants must be a whole number, got 2.5"),
     ])
     def test_bad_parameter_value_is_data_error(self, capsys, triangle_file, algorithm, config,
                                                message):

@@ -229,6 +229,8 @@ def test_tune_cli_rejects_a_repeated_instance_key(capsys):
     ("ga mutation_rate=2", "mutation_rate must be in"),
     ("sarsa epsilon=1.5", "epsilon must be in"),
     ("sa t_start=abc", "sa parameters: t_start must be a number, got 'abc'"),
+    ("ga population_size=40.6", "ga parameter population_size must be a whole number, got 40.6"),
+    ("aco ants=2.5", "aco parameter ants must be a whole number, got 2.5"),
 ])
 def test_bad_parameter_values_stop_the_plan_before_any_run(capsys, tmp_path, line, message):
     text = _QUICK + _PLAN_TAIL + line + "\n"

@@ -278,6 +278,15 @@ def test_explicit_copy_and_validation():
         build_distance_matrix(neg)
 
 
+def test_explicit_array_is_copied_not_shared():
+    stored = np.array([[7.0, 5.0], [5.0, 7.0]])
+    inst = Instance(name="array", dimension=2, kind="EXPLICIT", matrix=stored)
+    d = build_distance_matrix(inst)
+    assert d is not stored and d.tolist() == [[0.0, 5.0], [5.0, 0.0]]
+    d[0][1] = 9.0
+    assert stored.tolist() == [[7.0, 5.0], [5.0, 7.0]]
+
+
 @pytest.mark.parametrize("inst", [
     Instance(name="nan_euc", dimension=3, kind="EUC_2D",
              coords=[(0.0, 0.0), (math.nan, 0.0), (0.0, 4.0)]),

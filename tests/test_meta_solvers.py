@@ -405,14 +405,44 @@ def test_branch_and_bound_clock_covers_the_matrix_read():
     assert branch_and_bound(_SlowMatrix(PIN_MATRICES["rnd12"]()), node_cap=10).elapsed >= 0.05
 
 
-@pytest.mark.parametrize("solve, params", [
-    (solve_ga, GaParams(6, 0.1, 1, 0.3)),
-    (solve_sa, SaParams(12.0, 0.05, 0.99)),
-    (solve_sarsa, _RL_P),
-], ids=["ga", "sa", "sarsa"])
-def test_unknown_variant_is_refused(solve, params):
-    with pytest.raises(ValueError, match="variant: 'bogus'"):
-        solve(PIN_MATRICES["rnd12"](), params, SolveBudget(max_evaluations=10), 0, variant="bogus")
+class _UnreadMatrix:
+    """A matrix-like object that fails the test when it is read."""
+
+    def __len__(self):
+        raise AssertionError("d was read")
+
+    def __array__(self, dtype=None, copy=None):
+        raise AssertionError("d was read")
+
+
+@pytest.mark.parametrize("name, solve", [
+    ("ga", lambda d: solve_ga(d, GaParams(6, 0.1, 1, 0.3), TINY, 0, variant="bogus")),
+    ("sa", lambda d: solve_sa(d, SaParams(12.0, 0.05, 0.99), TINY, 0, variant="bogus")),
+    ("sarsa", lambda d: solve_sarsa(d, _RL_P, TINY, 0, variant="bogus")),
+    ("branch_and_bound", lambda d: branch_and_bound(d, "bogus")),
+], ids=["ga", "sa", "sarsa", "branch_and_bound"])
+def test_unknown_variant_is_refused(name, solve):
+    # run_solver's message, before anything of d is read.
+    inst = generate_random_instance(12, 0)
+    with pytest.raises(ValueError) as via_run_solver:
+        run_solver(name, inst, build_distance_matrix(inst), None, "bogus", TINY, 0)
+    with pytest.raises(ValueError, match="has no variant 'bogus'") as direct:
+        solve(_UnreadMatrix())
+    assert str(direct.value) == str(via_run_solver.value)
+
+
+@pytest.mark.parametrize("name, solve, params", [
+    ("sa", solve_sa, SA_P),
+    ("tabu", solve_tabu, TABU_P),
+    ("ga", solve_ga, GA_P),
+    ("alns", solve_alns, ALNS_P),
+    ("aco", solve_aco, ACO_P),
+    ("qlearning", solve_qlearning, _RL_P),
+    ("sarsa", solve_sarsa, _RL_P),
+], ids=["sa", "tabu", "ga", "alns", "aco", "qlearning", "sarsa"])
+def test_stochastic_entry_point_needs_a_budget_before_reading_d(name, solve, params):
+    with pytest.raises(ValueError, match=f"^{name} needs a budget$"):
+        solve(_UnreadMatrix(), params, None, 0)
 
 
 @st.composite

@@ -96,6 +96,8 @@ def test_cost_within_tolerance_is_re_costed(monkeypatch):
     ("tabu", "baseline", {"tenur": 9}, UnknownParameter, "tabu has no parameter 'tenur'"),
     ("sa", "baseline", {"t_start": float("inf")}, ValueError, "t_start must be finite"),
     ("tabu", "baseline", {"tenure": 0}, ValueError, "tenure must be >= 1"),
+    ("ga", "baseline", {"population_size": 40.6}, ValueError,
+     "ga parameter population_size must be a whole number, got 40.6"),
 ])
 def test_run_solver_rejects_bad_config_before_running(monkeypatch, algorithm, variant, values,
                                                       error, match):

@@ -124,8 +124,7 @@ class TestRace:
             return float(config.values["ants"])
 
         insts = _training_instances()
-        space = ParamSpace("aco", (ParamDef("ants", "int", 2, 20),))
-        winner, state = race("aco", space=space, instances=insts, budget=50,
+        winner, state = race("aco", instances=insts, budget=50,
                              candidates=2, seed=3, runner=runner)
         lighter = min(range(2), key=lambda i: state.configs[i].values["ants"])
         assert state.alive == [lighter]
