@@ -17,7 +17,7 @@ from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
 TINY = 1e-12  # GA, ACO and RL add it to a divisor, or floor one at it: no division by zero
-# start_run's rows are the array's tolist() below this many cities and one
+# float_rows gives an n x n array's tolist() below this many cities and one
 # memoryview per row from here: a list reads faster, but from about here
 # fixed-work runs measured no slower on memoryviews, which build no n x n list.
 ROW_VIEW_MIN = 300
@@ -152,9 +152,16 @@ def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray, li
     elapsed, the time budget and the trajectory times all cover the read."""
     tracker = RunTracker(budget)
     matrix = read_matrix(d)
-    if len(matrix) < ROW_VIEW_MIN:
-        return tracker, matrix, matrix.tolist()
-    return tracker, matrix, [memoryview(row) for row in matrix]
+    return tracker, matrix, float_rows(matrix)
+
+
+def float_rows(array: np.ndarray) -> list:
+    """The rows of a 2-D float64 array, each giving its entries as Python
+    floats: array.tolist() below ROW_VIEW_MIN rows, one memoryview per row
+    from there."""
+    if len(array) < ROW_VIEW_MIN:
+        return array.tolist()
+    return [memoryview(row) for row in array]
 
 
 def operator_score(new_best: bool, improved: bool) -> float:

@@ -10,14 +10,21 @@ baseline: incumbent starts at +infinity, children in index order.
 enhanced_r1: incumbent starts at the nearest-neighbor tour cost and children
 are visited in ascending edge-weight order. Both variants always return the
 same optimal cost; nodes_expanded counts bound evaluations.
+
+Each solve builds one n x n table of bound adjustments from bound_cache's
+minima, so a node reads its adjustment instead of computing it. The search
+recurses once per tour position, under a recursion limit raised to n + 200
+for the call, so a node-capped search runs at any n.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..tours import nearest_neighbor_tour, tour_length
-from .base import SolveResult, SolverSpec
+from .base import SolveResult, SolverSpec, float_rows
 
 _CAP_CHECK_MASK = 0x3FF  # consult the wall clock every 1024 bound evaluations
 
@@ -59,6 +66,7 @@ def branch_and_bound(
 
     def dfs(current: int, depth: int, weight: float, bound: float):
         nonlocal nodes, incumbent, best, capped
+        row, half = dist[current], halves[current]
         for child in order_from[current]:
             if visited[child]:
                 continue
@@ -70,16 +78,8 @@ def branch_and_bound(
                 if tracker.elapsed() >= time_cap:
                     capped = True
                     return
-            # Keep min1/2 charged for every open endpoint (the future edge out
-            # of `child` and the closing edge back to 0 are only guaranteed to
-            # cost min1); removing min1 here instead would overestimate the
-            # completion and can prune the optimal branch.
-            if depth == 1:
-                adjust = (min2[current] + min2[child]) / 2.0
-            else:
-                adjust = (min1[current] + min2[child]) / 2.0
-            child_weight = weight + dist[current][child]
-            child_bound = bound - adjust
+            child_weight = weight + row[child]
+            child_bound = bound - half[child]
             if depth == n - 1:
                 total = child_weight + dist[child][0]
                 if total < incumbent:
@@ -98,7 +98,23 @@ def branch_and_bound(
 
     if n > 2:
         min1, min2 = bound_cache(matrix)
-        dfs(0, 1, 0.0, sum(m1 + m2 for m1, m2 in zip(min1, min2)) / 2.0)
+        m1, m2 = np.array(min1), np.array(min2)
+        # Stepping from `current` to `child` subtracts halves[current][child].
+        # Keep min1/2 charged for every open endpoint (the future edge out of
+        # `child` and the closing edge back to 0 are only guaranteed to cost
+        # min1); removing min1 here instead would overestimate the completion
+        # and can prune the optimal branch. City 0 is `current` only at depth
+        # 1, where both endpoints give up min2. numpy adds and halves exactly
+        # as Python floats do, so every entry equals the per-node arithmetic.
+        table = (m1[:, None] + m2) / 2.0
+        table[0] = (m2[0] + m2) / 2.0
+        halves = float_rows(table)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, n + 200))  # one frame per tour position
+        try:
+            dfs(0, 1, 0.0, sum(a + b for a, b in zip(min1, min2)) / 2.0)
+        finally:
+            sys.setrecursionlimit(limit)
     if best is None:
         # A cap fired before any complete tour, or n <= 2, whose one tour is NN's.
         best, incumbent = nn_tour, nn_cost

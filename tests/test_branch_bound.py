@@ -1,5 +1,7 @@
+import hashlib
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from tsplab import (
 )
 
 from ._oracles import RND12_S3_OPTIMUM, brute_force_optimum, held_karp_optimum, reference_bound_cache
-from .conftest import nint_matrix, random_matrix
+from .conftest import grid_matrix, nint_matrix, random_matrix
 
 
 def root_bound(d) -> float:
@@ -205,3 +207,100 @@ def test_run_solver_caps_nodes_at_the_evaluation_cap(variant):
     assert (got.best, got.nodes_expanded, got.proven_optimal) == (
         want.best, want.nodes_expanded, False)
     assert got.best_cost == want.best_cost
+
+
+def _search_digest(result) -> str:
+    """A 16-hex sha256 prefix of everything a search returns but its time."""
+    text = (f"{','.join(map(str, result.best))};{result.best_cost.hex()};"
+            f"{result.nodes_expanded};{result.proven_optimal}")
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_PIN_INPUTS = {
+    "rnd9": lambda: random_matrix(9, 21),
+    "rnd11": lambda: random_matrix(11, 22),
+    "rnd13": lambda: random_matrix(13, 23),
+    "nint12": lambda: nint_matrix(12, 24),
+    "grid4": lambda: grid_matrix(4),  # 16 integer points: exactly equal weights
+    "list10": lambda: random_matrix(10, 25).tolist(),
+    "float32_10": lambda: random_matrix(10, 26).astype(np.float32),
+    "rnd320": lambda: random_matrix(320, 27),  # memoryview rows (ROW_VIEW_MIN)
+}
+_PIN_CAPS = (None, 1, 50, 1023, 1024, 1025)
+_PIN_CAPS_LARGE = (1, 50, 1023, 1024, 1025, 5000)  # rnd320 cannot be searched to proof
+
+# One digest per cap, in the order of _PIN_CAPS (or _PIN_CAPS_LARGE).
+_SEARCH_PINS = {
+    ("rnd9", "baseline"): (
+        "92d969c71a36e10c", "954bad7e5585b143", "3880457fc0514815",
+        "19bdb0976f2a0ccb", "ef21c35ff81e8124", "bb7da0fb79d05010"),
+    ("rnd9", "enhanced_r1"): (
+        "70bd8a55404c91e8", "954bad7e5585b143", "1c73647b35e68452",
+        "70bd8a55404c91e8", "70bd8a55404c91e8", "70bd8a55404c91e8"),
+    ("rnd11", "baseline"): (
+        "8021c096ba79bdbc", "51d3cec3f9012217", "eaa58d83cdfebc36",
+        "066339e93066fe88", "b55274442f59d9c5", "3ffbf7401daa4dec"),
+    ("rnd11", "enhanced_r1"): (
+        "a451d1296c34349d", "51d3cec3f9012217", "4380206f4955c1eb",
+        "175a67ec4cc0a1ea", "9fd82df32f7675e8", "b146b27293092e35"),
+    ("rnd13", "baseline"): (
+        "cbfeefafd024294d", "edfffd7de88caf16", "1c31307a213d59e6",
+        "1c22d5e647e717aa", "e6cd9251c41e0585", "b4cc1b693eae2859"),
+    ("rnd13", "enhanced_r1"): (
+        "fd4ccfc86e71920a", "edfffd7de88caf16", "8ccd408b365a62e5",
+        "6a09b2f7475dda2f", "4343f50f823a0289", "ff097f3a26552c29"),
+    ("nint12", "baseline"): (
+        "5216bffda3dc2ede", "2d966ffa75bdf3b2", "5963d2f51c2f7093",
+        "da14bedb4619d146", "1cc310f93e7fe7c8", "7aac5fa3968a4f00"),
+    ("nint12", "enhanced_r1"): (
+        "2cbfc2fd715320dd", "2d966ffa75bdf3b2", "e6155bf3b4192172",
+        "d82992d647a6a712", "6ee94961826c1c6b", "82ced468b050dbb5"),
+    ("grid4", "baseline"): (
+        "26a3435f0a7cdf2c", "b8420032f9225fed", "664f80a4b6ec1dda",
+        "408b564b9dacb904", "a8413dec3ae7c4e3", "54beb411f01da88c"),
+    ("grid4", "enhanced_r1"): (
+        "7ebe8a4578e44b8b", "b8420032f9225fed", "f35297ca1dc0ccfe",
+        "3260c6b902be26c7", "e0e65aebe650b9da", "4a59deca6da5b6e9"),
+    ("list10", "baseline"): (
+        "10036e04b894fe2f", "5187a85c2f05d759", "59b9121439147cae",
+        "e0031f09caab1e04", "7a2ff3e8504ee3ea", "e49bccaf9dd31989"),
+    ("list10", "enhanced_r1"): (
+        "9d7a38353de5622a", "5187a85c2f05d759", "1190ba014750b4c5",
+        "1d09d437531e0a7d", "c7b38a9919bdf23a", "2f8734c9ba74032f"),
+    ("float32_10", "baseline"): (
+        "ca819edb5cbc4b02", "c93b15ecfe5965d3", "f50ace7977dea06a",
+        "20b06eaeaedf85db", "ed1a1b5d86f3f96b", "3a60ea5359324289"),
+    ("float32_10", "enhanced_r1"): (
+        "94603a7c677f4241", "c93b15ecfe5965d3", "eef29daaf97c2ea0",
+        "63fc05333ac67a13", "9cdfa0e076867761", "848ee8501463288c"),
+    ("rnd320", "baseline"): (
+        "b9dbb31644547660", "029d284a14a49196", "b430d1cd9db07023",
+        "7012b01b8be9caa2", "5befbf854424a018", "99c35d89ce6cd7dd"),
+    ("rnd320", "enhanced_r1"): (
+        "b9dbb31644547660", "029d284a14a49196", "493b13cf3484a40c",
+        "0b714293691c8c6e", "e1f85d2147d351e8", "f19e5194b08e32b5"),
+}
+
+
+@pytest.mark.parametrize("name,variant", list(_SEARCH_PINS))
+def test_search_outputs_pinned(name, variant):
+    d = _PIN_INPUTS[name]()
+    caps = _PIN_CAPS_LARGE if name == "rnd320" else _PIN_CAPS
+    got = [_search_digest(branch_and_bound(d, variant, node_cap=cap)) for cap in caps]
+    assert got == list(_SEARCH_PINS[name, variant])
+
+
+@pytest.mark.parametrize("variant", ["baseline", "enhanced_r1"])
+def test_node_capped_search_runs_at_any_n(variant):
+    # One frame per tour position: at n = 1000 the search passes Python's
+    # default recursion limit, which it raises for the call and restores.
+    inst = generate_random_instance(1000, 5)
+    d = build_distance_matrix(inst)
+    limit = sys.getrecursionlimit()
+    direct = branch_and_bound(d, variant, node_cap=5000)
+    planned = run_solver("branch_and_bound", inst, d, None, variant,
+                         SolveBudget(max_evaluations=5000), 0)
+    for result in (direct, planned):
+        assert validate_tour(result.best, 1000).ok
+        assert (result.nodes_expanded, result.proven_optimal) == (5001, False)
+    assert sys.getrecursionlimit() == limit
