@@ -167,9 +167,12 @@ def _weights_to_matrix(values: list[float], n: int, fmt: str) -> list[list[float
 def check_symmetric(d: np.ndarray, what: str = "distance matrix") -> None:
     """Raise NonSymmetric if some |d[i][j] - d[j][i]| exceeds SYMMETRY_TOL.
 
-    Exact symmetry is checked first; the tolerance is computed only when that
+    Exact symmetry is checked first, on the upper triangle in panels of 64
+    rows, each against the matching 64 columns: reading d.T whole would
+    stride n entries per read. The tolerance is computed only when that
     fails, one row at a time, so no n-by-n float temporary is made."""
-    if (d == d.T).all():
+    panels = range(0, len(d), 64)
+    if all((d[lo : lo + 64, lo:] == d[lo:, lo : lo + 64].T).all() for lo in panels):
         return
     if any(np.abs(row - col).max() > SYMMETRY_TOL for row, col in zip(d, d.T)):
         raise NonSymmetric(f"{what} asymmetric beyond {SYMMETRY_TOL:g}")

@@ -5,11 +5,19 @@ crossover (OX), single swap mutation at rate mutation_rate, top-elite
 elitism, generational replacement.
 
 hybrid_r1 layers on: nearest-neighbor seeding of max(1, N//5) individuals
-(only when N >= 5), tournament selection of size 2 on rank (lower cost
-wins), adaptive crossover choice among {OX, ER, BCR} scored 3/1/0, a
-stochastic 2-opt pass over every offspring (_two_opt_pass, n sampled
-reversals, not tours.two_opt's full search), and duplicate-cost diversity
-replacement.
+(only when N >= 5, all built in one tours.nearest_neighbor_tours call),
+tournament selection of size 2 on rank (lower cost wins), adaptive
+crossover choice among {OX, ER, BCR} scored 3/1/0, a stochastic 2-opt pass
+over every offspring (_two_opt_pass, n sampled reversals, not
+tours.two_opt's full search), and duplicate-cost diversity replacement.
+
+BCR (best-cost insertion crossover) works in buffers made once per run: the
+transposed matrix, and length-n arrays for the child, each position's
+predecessor and each position's edge cost. It scores all insertion positions
+of a city as one numpy row, with the float operations of a Python scan, and
+inserts where that scan would: at the first delta below the best so far by
+more than TIE_EPS. Where another delta lies near the minimum, the scan is
+replayed exactly on the row.
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from ..tours import TIE_EPS, nearest_neighbor_tour, randbelow, reversal_delta, roulette
+import numpy as np
+
+from ..tours import TIE_EPS, nearest_neighbor_tours, randbelow, roulette
 from .base import TINY, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
 
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
@@ -57,6 +67,7 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
     hybrid = variant == "hybrid_r1"
 
     pop, costs = _initial_population(matrix, dist, n, p, rng, hybrid, tracker)
+    buffers = _insertion_buffers(matrix) if hybrid else None
     op_weights = [1.0, 1.0, 1.0]  # OX, ER, BCR
 
     # A full-elite population would never produce offspring; keep one slot open.
@@ -80,7 +91,8 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
             elif op == 1:
                 child = _edge_recombination(parent1, parent2)
             else:
-                child = _best_cost_insertion_crossover(parent1, parent2, dist, getrandbits)
+                child = _best_cost_insertion_crossover(parent1, parent2, matrix, buffers,
+                                                       getrandbits)
             if rng.random() < p.mutation_rate:
                 a, bpos = randbelow(getrandbits, n), randbelow(getrandbits, n)
                 child[a], child[bpos] = child[bpos], child[a]
@@ -118,7 +130,7 @@ def _initial_population(matrix, dist, n, p, rng, hybrid, tracker):
         k = nn_seed_count(p.population_size)
         starts = rng.sample(range(n), min(k, n))
         starts += [rng.randrange(n) for _ in range(k - len(starts))]
-        pop.extend(nearest_neighbor_tour(matrix, start=s) for s in starts)
+        pop.extend(nearest_neighbor_tours(matrix, starts))
     while len(pop) < p.population_size:
         perm = list(range(n))
         rng.shuffle(perm)
@@ -170,43 +182,86 @@ def _edge_recombination(p1, p2) -> list[int]:
     return tour
 
 
-def _best_cost_insertion_crossover(p1, p2, dist, getrandbits) -> list[int]:
+def _insertion_buffers(matrix):
+    """BCR's per-run state: the transposed matrix, whose row city holds
+    d[a][city] for every a, and the child, each position's predecessor and
+    each position's edge cost as length-n buffers that each BCR call fills."""
+    n = len(matrix)
+    return matrix.T.copy(), np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.empty(n)
+
+
+def _best_cost_insertion_crossover(p1, p2, matrix, buffers, getrandbits) -> list[int]:
     # Remove a random subroute of parent2's cities from parent1, then reinsert
-    # each removed city at its cheapest position. Stays a Python loop: numpy per
-    # city measured slower (three test_c06 seeds: 17.7 s before, 23.8 s after).
+    # each removed city at its cheapest position. Position pos is the edge
+    # (a, b) = (prev[pos], child[pos]), scored d[a][city] + d[city][b] - d[a][b]
+    # as one numpy row. The city goes where a sequential scan from position 0
+    # would put it: at the first delta below the best so far by more than
+    # TIE_EPS. That is the argmin when no other delta lies within a few
+    # TIE_EPS of the minimum; otherwise the scan is replayed on the row.
     n = len(p1)
     max_len = max(1, n // 4)
     length = min(1 + randbelow(getrandbits, max_len), n - 2) if n > 3 else 1
     start = randbelow(getrandbits, n)
     segment = [p2[(start + k) % n] for k in range(length)]
+    if n == 1:
+        return segment
     removed = set(segment)
-    child = [c for c in p1 if c not in removed]
+    mt, child, prev, edge = buffers
+    m = n - length
+    child[:m] = [c for c in p1 if c not in removed]
+    prev[0] = child[m - 1]
+    prev[1:m] = child[: m - 1]
+    edge[:m] = matrix[prev[:m], child[:m]]
     eps = TIE_EPS
     for city in segment:
-        best_pos, best_delta = 0, float("inf")
-        m = len(child)
-        for pos in range(m):
-            a, bnext = child[pos - 1], child[pos]
-            delta = dist[a][city] + dist[city][bnext] - dist[a][bnext]
-            if delta < best_delta - eps:
-                best_pos, best_delta = pos, delta
-        child.insert(best_pos, city)
-    return child
+        into, out = mt[city][prev[:m]], matrix[city][child[:m]]
+        deltas = into + out
+        deltas -= edge[:m]
+        pos = int(deltas.argmin())
+        low = float(deltas[pos])
+        deltas[pos] = np.inf
+        if not deltas.min() > low + 4 * eps + abs(low) * 4e-16:
+            deltas[pos] = low
+            pos, best = 0, np.inf
+            for p, delta in enumerate(deltas.tolist()):
+                if delta < best - eps:
+                    pos, best = p, delta
+        # Insert before child[pos]: shift the tail, then write the edges
+        # (a, city) and (city, b). prev[pos] stays a.
+        child[pos + 1 : m + 1] = child[pos:m]
+        prev[pos + 1 : m + 1] = prev[pos:m]
+        edge[pos + 1 : m + 1] = edge[pos:m]
+        child[pos] = prev[pos + 1] = city
+        edge[pos], edge[pos + 1] = into[pos], out[pos]
+        m += 1
+    return child.tolist()
 
 
 def _two_opt_pass(tour, dist, getrandbits) -> None:
     # hybrid_r1's stochastic 2-opt, in place: n random reversals (i as
     # randrange(n - 1), then j as randrange(i + 1, n)), each applied if it
     # lowers the cost by more than TIE_EPS. Below 4 cities it draws nothing.
+    # The draws are tours.randbelow's, inline: take k bits, reject r >= span;
+    # the delta is tours.reversal_delta's, in the same order.
     n = len(tour)
     if n < 4:
         return
+    k = (n - 1).bit_length()
     for _ in range(n):
-        i = randbelow(getrandbits, n - 1)
-        j = i + 1 + randbelow(getrandbits, n - i - 1)
+        i = getrandbits(k)
+        while i >= n - 1:
+            i = getrandbits(k)
+        span = n - i - 1
+        kj = span.bit_length()
+        r = getrandbits(kj)
+        while r >= span:
+            r = getrandbits(kj)
+        j = i + 1 + r
         if i == 0 and j == n - 1:
             continue  # reversing the whole tour is a no-op
-        if reversal_delta(tour, dist, i, j) < -TIE_EPS:
+        a, b, c = tour[i - 1], tour[i], tour[j]
+        e = tour[j + 1] if j < n - 1 else tour[0]
+        if dist[a][c] + dist[b][e] - dist[a][b] - dist[c][e] < -TIE_EPS:
             tour[i : j + 1] = tour[i : j + 1][::-1]
 
 

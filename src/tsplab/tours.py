@@ -65,21 +65,32 @@ def costs_agree(a: float, b: float) -> bool:
 
 def nearest_neighbor_tour(d, start: int = 0) -> list[int]:
     """Greedy construction from `start`; ties go to the lowest index."""
-    n = len(d)
-    if not 0 <= start < n:
-        raise ValueError(f"start {start} outside [0, {n})")
+    return nearest_neighbor_tours(d, [start])[0]
+
+
+def nearest_neighbor_tours(d, starts) -> list[list[int]]:
+    """nearest_neighbor_tour(d, s) for each s in starts, all built together:
+    each step gathers every tour's current row, masks its visited cities
+    with inf and takes the row's argmin (the lowest index on ties)."""
     dist = np.asarray(d, dtype=float)
-    visited = np.zeros(n, dtype=bool)
-    tour = [start]
-    visited[start] = True
-    current = start
-    for _ in range(n - 1):
-        row = np.where(visited, np.inf, dist[current])
-        nxt = int(np.argmin(row))  # argmin returns the lowest index on ties
-        tour.append(nxt)
-        visited[nxt] = True
-        current = nxt
-    return tour
+    n, starts = len(dist), list(starts)
+    for start in starts:
+        if not 0 <= start < n:
+            raise ValueError(f"start {start} outside [0, {n})")
+    current = np.array(starts, dtype=np.intp)
+    visited = np.zeros((len(current), n), dtype=bool)
+    marks, offsets = visited.reshape(-1), np.arange(len(current)) * n
+    steps = []
+    for step in range(n):
+        if step:
+            rows = dist.take(current, axis=0)
+            # Assign inf, never add a penalty: NaN + inf is NaN, which argmin
+            # would pick even at a visited city.
+            np.putmask(rows, visited, np.inf)
+            current = rows.argmin(axis=1)
+        steps.append(current)
+        marks[offsets + current] = True
+    return np.array(steps).T.tolist()
 
 
 def randbelow(getrandbits, n: int) -> int:

@@ -219,6 +219,27 @@ def reference_order_crossover(p1, p2, rng):
     return child
 
 
+def reference_best_cost_insertion(p1, p2, d, rng):
+    """GA's best-cost insertion crossover before it scored positions in numpy:
+    every position of the child scanned in Python, keeping the first delta
+    below the best so far by more than 1e-12."""
+    n = len(p1)
+    max_len = max(1, n // 4)
+    length = min(1 + rng.randrange(max_len), n - 2) if n > 3 else 1
+    start = rng.randrange(n)
+    segment = [p2[(start + k) % n] for k in range(length)]
+    child = [c for c in p1 if c not in set(segment)]
+    for city in segment:
+        best_pos, best_delta = 0, float("inf")
+        for pos in range(len(child)):
+            a, b = child[pos - 1], child[pos]
+            delta = d[a][city] + d[city][b] - d[a][b]
+            if delta < best_delta - 1e-12:
+                best_pos, best_delta = pos, delta
+        child.insert(best_pos, city)
+    return child
+
+
 def reference_edge_recombination(p1, p2):
     """GA's edge recombination before it stopped pruning: after each step the
     visited city is discarded from every adjacency set."""

@@ -21,6 +21,8 @@ from tsplab import (
     render_instance,
 )
 from tsplab.cli import main
+from tsplab.instances import check_symmetric
+from tsplab.solvers.base import read_matrix
 
 from ._oracles import reference_geo_distance
 
@@ -276,6 +278,22 @@ def test_explicit_copy_and_validation():
                    matrix=[[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(NegativeDistance):
         build_distance_matrix(neg)
+
+
+# n = 150 gives panels 0-63, 64-127 and the partial 128-149.
+@pytest.mark.parametrize("i,j", [(63, 64), (64, 63), (63, 127), (140, 145), (149, 128),
+                                 (0, 149), (149, 0)],
+                         ids=["panel-edge", "panel-edge-lower", "panel-corner", "last-panel",
+                              "last-panel-lower", "corner", "corner-lower"])
+def test_one_asymmetric_entry_is_found_in_any_panel(i, j):
+    d = build_distance_matrix(generate_random_instance(150, 8))
+    d[i, j] += 2e-9
+    with pytest.raises(NonSymmetric):
+        check_symmetric(d)
+    with pytest.raises(NonSymmetric):
+        read_matrix(d)
+    d[i, j] -= 1.5e-9  # within SYMMETRY_TOL again: accepted
+    check_symmetric(d)
 
 
 def test_explicit_array_is_copied_not_shared():

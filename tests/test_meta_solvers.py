@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -44,15 +45,29 @@ from tsplab import (
 from tsplab.solvers import base
 from tsplab.solvers.aco import _construct
 from tsplab.solvers.alns import update_weights
-from tsplab.solvers.ga import _edge_recombination, _initial_population, _order_crossover
+from tsplab.solvers.ga import (
+    _best_cost_insertion_crossover,
+    _edge_recombination,
+    _initial_population,
+    _insertion_buffers,
+    _order_crossover,
+)
 
 from ._oracles import (
     brute_force_optimum,
     reference_aco_tour,
+    reference_best_cost_insertion,
     reference_edge_recombination,
     reference_order_crossover,
 )
-from .conftest import PIN_MATRICES, random_matrix, tour_digest, trajectory_digest
+from .conftest import (
+    PIN_MATRICES,
+    grid_matrix,
+    nint_matrix,
+    random_matrix,
+    tour_digest,
+    trajectory_digest,
+)
 
 GENEROUS = SolveBudget(time_limit=10.0, max_evaluations=6000)
 TINY = SolveBudget(max_evaluations=30)
@@ -522,6 +537,85 @@ def test_ga_params_validation():
         GaParams(population_size=10, mutation_rate=0.05, elite_count=11)
 
 
+def _slightly_asymmetric(n, seed):
+    # Upper entries raised by less than SYMMETRY_TOL: read_matrix accepts the
+    # matrix, and d[a][b] differs from d[b][a] in the last bits.
+    d = random_matrix(n, seed)
+    return d + np.triu(np.random.default_rng(seed).uniform(0.0, 5e-10, (n, n)), 1)
+
+
+_GA_PIN_INPUTS = {
+    "float64": lambda n: random_matrix(n, 50 + n),
+    "nint": lambda n: nint_matrix(n, 51 + n),
+    "grid": lambda n: grid_matrix(18)[:n, :n],  # 324 integer points: exact ties
+    "list": lambda n: random_matrix(n, 52 + n).tolist(),
+    "float32": lambda n: random_matrix(n, 53 + n).astype(np.float32),
+    "asym": lambda n: _slightly_asymmetric(n, 54 + n),
+}
+_GA_PIN_SIZES = (4, 5, 12, 40, 200, 320)  # 320: memoryview rows (ROW_VIEW_MIN)
+_GA_PIN_P = GaParams(population_size=12, mutation_rate=0.2, elite_count=2)
+
+
+def _ga_digest(d, variant) -> str:
+    """A 16-hex sha256 prefix of seeds 0-2's best, best_cost, evaluations
+    and trajectory costs, each cost as float.hex()."""
+    text = []
+    for seed in range(3):
+        r = solve_ga(d, _GA_PIN_P, SolveBudget(max_evaluations=72), seed, variant=variant)
+        costs = ",".join(cost.hex() for _, cost in r.trajectory)
+        text.append(f"{','.join(map(str, r.best))};{r.best_cost.hex()};{r.evaluations};{costs}")
+    return hashlib.sha256("|".join(text).encode()).hexdigest()[:16]
+
+
+# Recorded at the commit before BCR scored insertion positions in numpy, the
+# 2-opt pass drew inline and the NN seeds were built in one batch; one digest
+# per size, in the order of _GA_PIN_SIZES.
+_GA_PINS = {
+    ("float64", "baseline"): (
+        "a891711971abdc27", "8707c5432e2293b8", "bca3d41293c96700",
+        "a891d40549c44ef1", "c57a205cfbf3a26a", "ea3ea6eb3b517ca9"),
+    ("float64", "hybrid_r1"): (
+        "d3501ac5abbaff8c", "e048d2e233d11cf7", "b8eea4b36f06eb12",
+        "3ca22fa67e6e0b2f", "93b3321ef0449a13", "38d1bc60df7df1e1"),
+    ("nint", "baseline"): (
+        "144b4b2ea3468494", "47ef8ffdb8c662c6", "9aa6144ca8e15a2a",
+        "7ba45946e8181ddc", "149ea4d31b656680", "36247020ea82bbf6"),
+    ("nint", "hybrid_r1"): (
+        "c16ffaa83b000fe9", "361471f0c6fce379", "94222f0d9b7d61cb",
+        "f1213631a24ee1a1", "0ceeef23b9c77430", "a00ac0388f9d1a1d"),
+    ("grid", "baseline"): (
+        "7a855191ec7ad05a", "2fc825d8b00abe7a", "9872e53e3a29e187",
+        "4d156e738bfd5963", "54fe8883f40906e6", "a1b3959c778ceded"),
+    ("grid", "hybrid_r1"): (
+        "e910bccfc50df70e", "ccafddc3e07f22ef", "39ff9d5512a0414a",
+        "ca3ad47ce9b820e5", "704b477924e7b47f", "d3101fc68380cd55"),
+    ("list", "baseline"): (
+        "96253e9bb8d3dc4e", "1d7df7b710caad4c", "d8dd1182af99cd03",
+        "c312f82bef615e58", "5e5c968b362f5ba9", "9fd050b1fb7ae56b"),
+    ("list", "hybrid_r1"): (
+        "4bac433e012d966d", "05f3eda3840a478f", "b29e87946160333c",
+        "49ab302e051b01d4", "7283a935b00d17fa", "cfa040c51704c483"),
+    ("float32", "baseline"): (
+        "1b50288e3b295c4d", "97a6ae9255788527", "74e0fe29e2826a18",
+        "bce8473a8f7cbf1f", "de83d925757acf1d", "d1e58b94b60cd6ef"),
+    ("float32", "hybrid_r1"): (
+        "e18bc7ba613d463e", "0d10978e9ac8544e", "fecbf13f6c050e4f",
+        "adceeb779e067602", "e4067ec1727bb852", "228036a3957ffb70"),
+    ("asym", "baseline"): (
+        "2475814612a9eafb", "c199091f050b4e1e", "7d85f734895097d0",
+        "9074dab89c44c9ba", "7d1d67be6fc676c3", "738ba85c056d0a5b"),
+    ("asym", "hybrid_r1"): (
+        "c0f11e05f13f01df", "ce821b660324fda2", "f7ac92528a29feb0",
+        "18ca1394826a5b3d", "94002e98e136f19e", "f0b2ebaa0f93e385"),
+}
+
+
+@pytest.mark.parametrize("name,variant", list(_GA_PINS))
+def test_ga_outputs_pinned(name, variant):
+    got = [_ga_digest(_GA_PIN_INPUTS[name](n), variant) for n in _GA_PIN_SIZES]
+    assert got == list(_GA_PINS[name, variant])
+
+
 # --- ALNS specifics ---------------------------------------------------------
 
 def test_alns_weight_update_arithmetic():
@@ -643,3 +737,22 @@ def test_order_crossover_matches_reference(parents, seed):
 def test_edge_recombination_matches_reference(parents):
     p1, p2 = parents
     assert _edge_recombination(p1, p2) == reference_edge_recombination(p1, p2)
+
+
+@given(_parents(), st.sampled_from(["float", "nint", "grid", "asym"]), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_best_cost_insertion_matches_reference(parents, kind, seed):
+    # The numpy row and its argmin shortcut must keep the sequential scan's
+    # choice, also where exact ties (nint, grid) send it to the replay.
+    p1, p2 = parents
+    n = len(p1)
+    if kind == "asym":
+        d = np.random.default_rng(seed).uniform(0.0, 100.0, (n, n))
+    else:
+        d = {"float": lambda: random_matrix(max(n, 2), seed % 1000),
+             "nint": lambda: nint_matrix(max(n, 2), seed % 1000),
+             "grid": lambda: grid_matrix(8)}[kind]()[:n, :n]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = _best_cost_insertion_crossover(p1, p2, d, _insertion_buffers(d), ours.getrandbits)
+    assert got == reference_best_cost_insertion(p1, p2, d.tolist(), theirs)
+    assert ours.random() == theirs.random()

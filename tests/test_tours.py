@@ -10,6 +10,7 @@ from tsplab import (
     DimensionMismatch,
     cheapest_insertion,
     nearest_neighbor_tour,
+    nearest_neighbor_tours,
     tour_length,
     two_opt,
     validate_tour,
@@ -89,6 +90,38 @@ def test_nearest_neighbor_tie_takes_lower_index():
         [1.0, 2.0, 0.0],
     ]
     assert nearest_neighbor_tour(d, start=0) == [0, 1, 2]
+
+
+def _nn_each(d, starts):
+    return [nearest_neighbor_tour(d, s) for s in starts]
+
+
+@pytest.mark.parametrize("d,starts", [
+    (random_matrix(30, 4), [3, 3, 0, 29, 3]),  # duplicate starts
+    (np.zeros((7, 7)), [6, 0, 2, 6]),  # every pick a tie
+    ([[0.0]], [0, 0]),
+    ([[0.0, 2.5], [2.5, 0.0]], [1, 0, 1]),
+    (random_matrix(12, 9), []),
+], ids=["duplicates", "all-zero", "n1", "n2", "no-start"])
+def test_nearest_neighbor_tours_match_one_at_a_time(d, starts):
+    assert nearest_neighbor_tours(d, starts) == _nn_each(d, starts)
+
+
+def test_nearest_neighbor_tours_stay_permutations_on_non_finite_entries():
+    # NaN and -inf win every argmin they are in; a visited city must still
+    # be masked, so each tour is a permutation.
+    d = random_matrix(9, 2)
+    d[4, 1] = d[1, 4] = np.nan
+    d[2, 7] = -np.inf
+    tours = nearest_neighbor_tours(d, range(9))
+    assert tours == _nn_each(d, range(9))
+    assert all(validate_tour(t, 9).ok for t in tours)
+
+
+@pytest.mark.parametrize("start", [-1, 5])
+def test_nearest_neighbor_tours_refuse_a_start_outside_the_matrix(start):
+    with pytest.raises(ValueError, match=f"start {start} outside \\[0, 5\\)"):
+        nearest_neighbor_tours(random_matrix(5, 1), [0, start])
 
 
 def test_two_opt_uncrosses_square(unit_square):
