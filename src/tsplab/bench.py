@@ -15,7 +15,8 @@ import math
 import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from statistics import median
 
 from .errors import ZeroBaseline
@@ -29,6 +30,12 @@ CSV_HEADER = "algorithm,variant,config_id,instance,n,seed,rep,best_cost,elapsed_
 
 RUN_STATUSES = ("ok", "timeout_with_result", "failed")
 _GRACE_FACTOR = 2.0  # elapsed beyond this multiple of the limit downgrades ok
+
+# A run's identity, each key the one before plus a field: one plan line, one
+# summary group, one run. Every reader takes the fields through attrgetter.
+LINE_KEY = ("algorithm", "variant")
+GROUP_KEY = (*LINE_KEY, "instance")
+RUN_KEY = (*GROUP_KEY, "rep")
 
 
 def time_limit_for(n: int, time_scale: float) -> int:
@@ -98,10 +105,10 @@ class ExperimentPlan:
             raise ValueError(f"metric must be best_cost or runtime, got {self.metric!r}")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
-        pairs = Counter((a.algorithm, a.variant) for a in self.algorithms)
-        repeated = ", ".join(repr(pair) for pair, count in pairs.items() if count > 1)
+        lines = Counter(map(attrgetter(*LINE_KEY), self.algorithms))
+        repeated = ", ".join(repr(line) for line, count in lines.items() if count > 1)
         if repeated:
-            raise ValueError(f"plan names (algorithm, variant) {repeated} more than once; "
+            raise ValueError(f"plan names ({', '.join(LINE_KEY)}) {repeated} more than once; "
                              "seeds, summaries and gaps key runs by that pair")
 
 
@@ -123,6 +130,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SummaryStats:
+    # GROUP_KEY's fields first, in its order: summarize fills them positionally.
     algorithm: str
     variant: str
     instance: str
@@ -246,6 +254,7 @@ def expand_plan(plan: ExperimentPlan, names: list[str], sizes: list[int]) -> lis
         reps = 1 if info.kind == "deterministic" else plan.repetitions
         for idx, (name, n) in enumerate(zip(names, sizes)):
             for rep in range(reps):
+                # Not RUN_KEY: a field added to the key must not reseed any row.
                 seed = stable_hash(plan.base_seed, spec.algorithm, spec.variant, name, rep)
                 specs.append(RunSpec(
                     algo=spec,
@@ -329,7 +338,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
     shared = sorted(name for name, count in Counter(names).items() if count > 1)
     if shared:
         raise ValueError(f"plan instances share the name {', '.join(map(repr, shared))}; "
-                         "each instance needs its own NAME")
+                         "each file needs its own NAME and each random line its own (n, seed)")
     matrices = [build_distance_matrix(inst, plan.rounding) for inst in resolved]
     runs = run_order(expand_plan(plan, names, [inst.dimension for inst in resolved]))
     workers = min(workers, len(runs))  # under fork, the pool starts every worker at once
@@ -341,7 +350,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list[RunRecord]:
                                  initargs=(runs, resolved, matrices, started)) as pool:
             futures = [pool.submit(_worker_drain) for _ in range(workers)]
             records = [row for f in futures for row in f.result()]
-    records.sort(key=lambda r: (r.algorithm, r.variant, r.instance, r.rep))
+    records.sort(key=attrgetter(*RUN_KEY))
     return records
 
 
@@ -366,6 +375,7 @@ def read_csv(text: str) -> list[RunRecord]:
     if next(reader, None) != header:
         raise ValueError("unrecognized CSV header")
     records = []
+    run_key = attrgetter(*RUN_KEY)
     first_line: dict[tuple, int] = {}  # run key -> the CSV line that has it
     for row in reader:
         if not row:
@@ -388,10 +398,10 @@ def read_csv(text: str) -> list[RunRecord]:
             raise ValueError(f"CSV line {reader.line_num} has status {r.status!r} "
                              f"{'without' if r.best_cost is None else 'with'} a best_cost; "
                              "a row has a best_cost exactly when its status is not failed")
-        key = (row[0], row[1], row[3], r.rep)
+        key = run_key(r)
         if first_line.setdefault(key, reader.line_num) != reader.line_num:
-            raise ValueError(f"CSV line {reader.line_num} repeats the (algorithm, variant, "
-                             f"instance, rep) {key} of line {first_line[key]}")
+            raise ValueError(f"CSV line {reader.line_num} repeats the ({', '.join(RUN_KEY)}) "
+                             f"{key} of line {first_line[key]}")
         records.append(r)
     return records
 
@@ -410,20 +420,20 @@ def order_statistics(values: list[float]) -> tuple[float, float, float, float, f
 
 
 def summarize(records: list[RunRecord], metric: str = "best_cost") -> list[SummaryStats]:
-    """Per (algorithm, variant, instance) stats of the metric over usable rows."""
+    """Per GROUP_KEY stats of the metric over usable rows, in key order."""
+    group_key = attrgetter(*GROUP_KEY)
     groups: dict[tuple, list[RunRecord]] = {}
     for r in records:
-        groups.setdefault((r.algorithm, r.variant, r.instance), []).append(r)
+        groups.setdefault(group_key(r), []).append(r)
     out = []
-    for (algorithm, variant, instance), rows in sorted(groups.items()):
+    for key, rows in sorted(groups.items()):
         values = [
             r.elapsed_s if metric == "runtime" else r.best_cost
             for r in rows
             if r.status != "failed" and r.best_cost is not None
         ]
         if not values:
-            out.append(SummaryStats(algorithm, variant, instance, 0,
-                                    None, None, None, None, None, None, None, n_a=True))
+            out.append(SummaryStats(*key, 0, None, None, None, None, None, None, None, n_a=True))
             continue
         mn, q1, med, q3, mx = order_statistics(values)
         mean = sum(values) / len(values)
@@ -432,8 +442,7 @@ def summarize(records: list[RunRecord], metric: str = "best_cost") -> list[Summa
             stddev = math.sqrt(var)
         else:
             stddev = 0.0
-        out.append(SummaryStats(algorithm, variant, instance, len(values),
-                                mn, q1, med, q3, mx, mean, stddev))
+        out.append(SummaryStats(*key, len(values), mn, q1, med, q3, mx, mean, stddev))
     return out
 
 
@@ -442,22 +451,21 @@ def gap_table(records: list[RunRecord]) -> list[dict]:
     named "baseline", per (algorithm, instance); positive means the variant
     is better.
     A zero baseline median (every city at one point) has no gap: None."""
-    stats = summarize(records)
-    medians = {(s.algorithm, s.variant, s.instance): s.median for s in stats if not s.n_a}
+    stats = [s for s in summarize(records) if not s.n_a]
+    group_key = attrgetter(*GROUP_KEY)
+    medians = {group_key(s): s.median for s in stats}
     rows = []
-    for (algorithm, variant, instance), med in sorted(medians.items()):
-        if variant == "baseline":
-            continue
-        base = medians.get((algorithm, "baseline", instance))
-        if base is None:
+    for s in stats:
+        base = medians.get(group_key(replace(s, variant="baseline")))
+        if s.variant == "baseline" or base is None:
             continue
         rows.append({
-            "algorithm": algorithm,
-            "instance": instance,
-            "variant": variant,
+            "algorithm": s.algorithm,
+            "instance": s.instance,
+            "variant": s.variant,
             "baseline_median": base,
-            "variant_median": med,
-            "gap_percent": None if base == 0 else compute_gap(base, med),
+            "variant_median": s.median,
+            "gap_percent": None if base == 0 else compute_gap(base, s.median),
         })
     return rows
 

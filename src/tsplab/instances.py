@@ -116,6 +116,9 @@ def parse_instance(text: str) -> Instance:
                 raise CountMismatch(f"coordinate line too short: {line!r}")
             coords.append((_number(parts[1], "NODE_COORD_SECTION", lineno),
                            _number(parts[2], "NODE_COORD_SECTION", lineno)))
+            if parts[0] != str(len(coords)):  # TSPLIB numbers the nodes 1..n in order
+                raise UnsupportedFormat(f"NODE_COORD_SECTION line {lineno}: node id "
+                                        f"{parts[0]!r}, expected {len(coords)}")
         return Instance(name=name, dimension=dimension, kind=kind, coords=coords)
 
     fmt = header.get("EDGE_WEIGHT_FORMAT")

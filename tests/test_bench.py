@@ -36,6 +36,7 @@ from tsplab import (
 )
 from tsplab import bench
 from tsplab.bench import run_order
+from tsplab.cli import main
 
 PLAN_TEXT = """\
 # toy experiment
@@ -551,6 +552,87 @@ tabu,baseline,custom,rnd5-s1,5,7,2,,0.0,,,failed
 def test_write_csv_text_is_pinned():
     assert write_csv(PINNED_RECORDS) == PINNED_CSV
     assert read_csv(PINNED_CSV) == PINNED_RECORDS
+
+
+def test_csv_header_is_pinned():
+    # The paper-facing column list; the README restates it (test_docs).
+    assert CSV_HEADER == ("algorithm,variant,config_id,instance,n,seed,rep,"
+                          "best_cost,elapsed_s,evaluations,nodes_expanded,status")
+
+
+# Two algorithms on two instances, rows out of key order: ga's i2 baseline
+# has a zero median, sa's i1 baseline failed every run (an n_a group), and
+# sa's lundy_mees_r1 has no usable baseline on either instance.
+GOLDEN_CSV = f"""{CSV_HEADER}
+sa,lundy_mees_r1,r1,i2,5,11,0,40.5,0.5,200,,ok
+ga,hybrid_r1,r1,i1,5,3,0,90.0,0.25,300,,ok
+ga,baseline,original,i1,5,1,1,104.0,0.5,300,,timeout_with_result
+ga,baseline,original,i1,5,2,0,100.0,0.25,300,,ok
+ga,hybrid_r1,r1,i1,5,4,1,,0.0,,,failed
+ga,baseline,original,i1,5,5,2,98.0,0.75,300,,ok
+ga,hybrid_r1,r1,i1,5,6,2,95.0,0.5,300,,ok
+ga,baseline,original,i2,5,7,0,0.0,0.0,10,,ok
+ga,hybrid_r1,r1,i2,5,8,0,0.0,0.0,10,,ok
+sa,baseline,original,i1,5,9,0,,0.0,,,failed
+sa,baseline,original,i1,5,10,1,,0.0,,,failed
+sa,lundy_mees_r1,r1,i1,5,12,0,50.0,0.5,200,,ok
+sa,lundy_mees_r1,r1,i2,5,13,1,41.25,0.5,200,,ok
+"""
+_SUMMARY_FIELDS = ("algorithm", "variant", "instance", "count", "minimum", "q1", "median",
+                   "q3", "maximum", "mean", "stddev", "n_a")
+GOLDEN_SUMMARY = [dict(zip(_SUMMARY_FIELDS, row)) for row in [
+    ("ga", "baseline", "i1", 3, 98.0, 98.0, 100.0, 104.0, 104.0, 100.66666666666667,
+     3.055050463303893, False),
+    ("ga", "baseline", "i2", 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False),
+    ("ga", "hybrid_r1", "i1", 2, 90.0, 90.0, 92.5, 95.0, 95.0, 92.5, 3.5355339059327378, False),
+    ("ga", "hybrid_r1", "i2", 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False),
+    ("sa", "baseline", "i1", 0, None, None, None, None, None, None, None, True),
+    ("sa", "lundy_mees_r1", "i1", 1, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0, 0.0, False),
+    ("sa", "lundy_mees_r1", "i2", 2, 40.5, 40.5, 40.875, 41.25, 41.25, 40.875,
+     0.5303300858899106, False),
+]]
+GOLDEN_GAP_STDOUT = """\
+[
+  {
+    "algorithm": "ga",
+    "instance": "i1",
+    "variant": "hybrid_r1",
+    "baseline_median": 100.0,
+    "variant_median": 92.5,
+    "gap_percent": 7.5
+  },
+  {
+    "algorithm": "ga",
+    "instance": "i2",
+    "variant": "hybrid_r1",
+    "baseline_median": 0.0,
+    "variant_median": 0.0,
+    "gap_percent": null
+  }
+]
+"""
+
+
+def test_harness_outputs_are_pinned(capsys, tmp_path):
+    records = read_csv(GOLDEN_CSV)
+    assert write_csv(records) == GOLDEN_CSV
+    path = tmp_path / "runs.csv"
+    path.write_text(GOLDEN_CSV, encoding="utf-8")
+    assert main(["gap", "--csv", str(path)]) == 0
+    assert capsys.readouterr().out == GOLDEN_GAP_STDOUT
+    report = json_report(parse_plan("[instances]\nrandom n=5 seed=1\n[algorithms]\nga\n"), records)
+    assert json.dumps(report["summary"]) == json.dumps(GOLDEN_SUMMARY)
+    assert json.dumps(report["gaps"], indent=2) + "\n" == GOLDEN_GAP_STDOUT
+    with pytest.raises(ValueError) as repeated_row:
+        read_csv(GOLDEN_CSV + "ga,baseline,original,i1,5,1,1,104.0,0.5,300,,ok\n")
+    assert str(repeated_row.value) == ("CSV line 15 repeats the (algorithm, variant, instance, "
+                                       "rep) ('ga', 'baseline', 'i1', 1) of line 4")
+    with pytest.raises(ValueError) as repeated_line:
+        parse_plan("[instances]\nrandom n=5 seed=1\n"
+                   "[algorithms]\nsa preset=original\nga\nsa preset=r1\n")
+    assert str(repeated_line.value) == ("plan names (algorithm, variant) ('sa', 'baseline') "
+                                        "more than once; seeds, summaries and gaps key runs "
+                                        "by that pair")
 
 
 def test_exact_repetitions_repeat_one_tour():

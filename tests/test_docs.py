@@ -4,7 +4,7 @@ import pathlib
 import re
 
 import tsplab
-from tsplab import ALGORITHMS
+from tsplab import ALGORITHMS, CSV_HEADER
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +44,8 @@ def test_readme_derived_entry_points_resolve():
     names = re.findall(r"`(\w+)`", sentence)
     assert "ALGORITHMS" in names
     assert [name for name in names if not hasattr(tsplab, name)] == []
+
+
+def test_readme_csv_columns_match_the_header():
+    block = _section("Command line").split("The CSV columns are", 1)[1].split("```", 2)[1]
+    assert block.strip() == CSV_HEADER

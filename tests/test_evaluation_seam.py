@@ -349,6 +349,16 @@ def test_duplicate_instance_names_are_rejected(monkeypatch, tmp_path):
     assert built == []  # the names are checked before any matrix is built
 
 
+def test_random_lines_sharing_a_name_are_told_to_change_n_or_seed():
+    # lo and hi move the cities but not the name rnd{n}-s{seed}; a random line has no NAME.
+    plan = parse_plan("[instances]\nrandom n=6 seed=1\nrandom n=6 seed=1 lo=0 hi=500\n"
+                      "[algorithms]\nchristofides\n")
+    with pytest.raises(ValueError) as shared:
+        run_experiment(plan)
+    assert str(shared.value) == ("plan instances share the name 'rnd6-s1'; each file needs its "
+                                 "own NAME and each random line its own (n, seed)")
+
+
 def test_bench_cli_rejects_duplicate_instance_names(capsys, tmp_path):
     plan = tmp_path / "plan.txt"
     plan.write_text("repetitions = 1\n[instances]\n" + _two_unnamed_files(tmp_path)

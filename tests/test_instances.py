@@ -346,6 +346,28 @@ def test_non_numeric_token_is_a_typed_error(text, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+# TRIANGLE_FILE's coordinate lines are file lines 6-8; tours index the cities
+# by line order, so an id that is not the line's 1-based position is refused.
+@pytest.mark.parametrize("ids, message", [
+    (("3", "1", "2"), "line 6: node id '3', expected 1"),  # out of order
+    (("1", "1", "3"), "line 7: node id '1', expected 2"),  # repeated
+    (("1", "2", "4"), "line 8: node id '4', expected 3"),  # skipped
+    (("0", "1", "2"), "line 6: node id '0', expected 1"),  # 0-based
+    (("1", "foo", "3"), "line 7: node id 'foo', expected 2"),
+    (("1", "2.0", "3"), "line 7: node id '2.0', expected 2"),
+], ids=["out_of_order", "repeated", "skipped", "zero_based", "word", "float"])
+def test_node_ids_must_count_from_one(ids, message, tmp_path, capsys):
+    text = TRIANGLE_FILE
+    for old, new in zip(("1 0 0", "2 3 0", "3 0 4"), ids):
+        text = text.replace(old, new + old[1:])
+    with pytest.raises(UnsupportedFormat, match=f"NODE_COORD_SECTION {message}"):
+        parse_instance(text)
+    path = tmp_path / "bad.tsp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", "--instance", str(path), "--algorithm", "christofides"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_generate_deterministic():
     a = generate_random_instance(10, 7, (0.0, 100.0))
     b = generate_random_instance(10, 7, (0.0, 100.0))
