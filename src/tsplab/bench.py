@@ -154,6 +154,8 @@ _RANDOM_KEYS = {"n": int, "seed": int, "lo": float, "hi": float}
 _CSV_NUMBERS = {"n": int, "seed": int, "rep": int, "best_cost": float, "elapsed_s": float,
                 "evaluations": int, "nodes_expanded": int}
 _CSV_OPTIONAL = ("best_cost", "evaluations", "nodes_expanded")
+# The least value a run can give each count and time column.
+_CSV_LEAST = {"n": 1, "rep": 0, "elapsed_s": 0, "evaluations": 0, "nodes_expanded": 0}
 
 
 def _check_keys(given, valid, required, context: str) -> None:
@@ -391,6 +393,14 @@ def read_csv(text: str) -> list[RunRecord]:
             value = getattr(r, column)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"CSV line {reader.line_num} has a non-finite {column} {value!r}")
+        for column in ("algorithm", "variant", "config_id", "instance"):
+            if not getattr(r, column):
+                raise ValueError(f"CSV line {reader.line_num} has an empty {column}")
+        for column, least in _CSV_LEAST.items():
+            value = getattr(r, column)
+            if value is not None and value < least:
+                raise ValueError(f"CSV line {reader.line_num} has {column} {value!r}; "
+                                 f"a run's {column} is at least {least}")
         if r.status not in RUN_STATUSES:
             raise ValueError(f"CSV line {reader.line_num} has status {r.status!r}; "
                              f"expected one of {', '.join(RUN_STATUSES)}")

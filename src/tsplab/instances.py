@@ -99,7 +99,7 @@ def parse_instance(text: str) -> Instance:
     if kind not in _SUPPORTED_TYPES:
         raise UnsupportedFormat(f"EDGE_WEIGHT_TYPE {kind} not supported")
 
-    name = header.get("NAME", "unnamed")
+    name = header.get("NAME") or "unnamed"  # every run row names its instance
 
     if kind in ("EUC_2D", "GEO"):
         lines = sections.get("NODE_COORD_SECTION")
@@ -112,8 +112,9 @@ def parse_instance(text: str) -> Instance:
         coords = []
         for lineno, line in lines:
             parts = line.split()
-            if len(parts) < 3:
-                raise CountMismatch(f"coordinate line too short: {line!r}")
+            if len(parts) != 3:  # TSPLIB's "id x y"
+                length = "short" if len(parts) < 3 else "long"
+                raise CountMismatch(f"coordinate line too {length}: {line!r}")
             coords.append((_number(parts[1], "NODE_COORD_SECTION", lineno),
                            _number(parts[2], "NODE_COORD_SECTION", lineno)))
             if parts[0] != str(len(coords)):  # TSPLIB numbers the nodes 1..n in order

@@ -138,24 +138,79 @@ def cheapest_insertion(tour, pending, d, criterion: str = "detour") -> list[int]
     inserts k before tour[p] for the first pair in scan order (pending order,
     then position) whose score is within 1e-12 of the step's minimum. A
     one-city tour [t] has no edge: each k scores 2 * d[t][k] and goes after t.
+
+    The scores are kept across steps, not rebuilt: a buffer holds one row
+    ("slot") per tour edge and one column per pending city, and each slot's
+    minimum. Inserting k into edge (a, b) turns k's column NaN, rescores
+    slot (a, b) as (a, k) and a new slot as (k, b): a step computes two rows,
+    each entry with the same float operations as a full rescan, and rescans
+    only the slots whose minimum was k's. The winner is the first pending
+    city scoring within 1e-12 of the least slot minimum; slots are not in
+    tour order, so its ties go to the lowest tour position. The tours are
+    those of a full rescan each step, for asymmetric d too. NaN scores never
+    win; if every score is NaN, the first pending city goes before tour[0].
     """
     if criterion not in ("ratio", "detour"):
         raise ValueError(f"unknown insertion criterion: {criterion!r}")
     dist = np.asarray(d, dtype=float)
     tour, pending = list(tour), list(pending)
-    while pending:
-        ks, m = np.array(pending)[:, None], len(tour)
-        if m == 1:
-            scores = 2.0 * dist[tour[0], ks]
+    if len(tour) == 1 and pending:
+        twice = 2.0 * dist[tour[0], pending]
+        tour.append(pending.pop(int(np.argmax(twice <= twice.min() + TIE_EPS))))
+    if not pending:
+        return tour
+    # scores[s, j]: the score of pending[j] in slot s, whose edge is
+    # (starts[s], ends[s]); least[s]: the slot's minimum. into[c, j] is
+    # d[pending[j]][c], so a slot is scored from two contiguous rows. An
+    # inserted city's column turns NaN, and fmin skips NaN.
+    cities, m = np.array(pending), len(tour)
+    into = np.ascontiguousarray(dist.take(cities, axis=0).T)
+    scores = np.empty((m + len(cities), len(cities)))
+    least = np.empty(len(scores))
+    starts, ends = tour[-1:] + tour[:-1], list(tour)
+    ratio = criterion == "ratio"
+
+    def score(from_i, to_j, edge, out):  # (d[i][k] + d[k][j]) then - or / d[i][j]
+        np.add(from_i.take(cities, axis=-1), to_j, out=out)
+        if ratio:
+            np.divide(out, np.maximum(edge, TIE_EPS), out=out)
         else:
-            prev, nxt = np.array(tour[-1:] + tour[:-1]), np.array(tour)
-            via = dist[prev, ks] + dist[ks, nxt]
-            edge = dist[prev, nxt]
-            scores = via / np.maximum(edge, TIE_EPS) if criterion == "ratio" else via - edge
-        # <= keeps the minimum eligible even where min + 1e-12 rounds to min.
-        city, pos = divmod(int(np.argmax(scores.ravel() <= scores.min() + TIE_EPS)), m)
-        tour.insert(pos if m > 1 else 1, pending.pop(city))
-    return tour
+            np.subtract(out, edge, out=out)
+        return np.fmin.reduce(out, axis=-1)
+
+    first, last = np.array(starts), np.array(ends)
+    least[:m] = score(dist[first], into[last], dist[first, last][:, None], scores[:m])
+    left = list(range(len(cities)))  # columns still pending, in pending order
+    while True:
+        count = len(ends)
+        mins = least[:count]
+        limit = np.fmin.reduce(mins) + TIE_EPS  # <= keeps the minimum even where this rounds to it
+        cand = (mins <= limit).nonzero()[0]
+        if len(cand) == 1:
+            s = int(cand[0])
+            j = int((scores[s] <= limit).argmax())
+        elif len(cand):
+            hits = scores[cand] <= limit
+            j = int(hits.any(axis=0).argmax())
+            s = min(cand[hits[:, j]].tolist(), key=lambda c: tour.index(ends[c]))
+        else:  # every score is NaN
+            j, s = left[0], ends.index(tour[0])
+        k, a, b = pending[j], starts[s], ends[s]
+        tour.insert(tour.index(b), k)
+        left.remove(j)
+        if not left:
+            return tour
+        column = scores[:count, j]
+        stale = (column == mins).nonzero()[0]
+        column[:] = np.nan
+        into[:, j] = np.nan
+        ends[s] = k
+        starts.append(k)
+        ends.append(b)
+        least[s] = score(dist[a], into[k], dist[a, k], scores[s])
+        least[count] = score(dist[k], into[b], dist[k, b], scores[count])
+        if len(stale):
+            least[stale] = np.fmin.reduce(scores[stale], axis=1)
 
 
 def two_opt(order, d) -> list[int]:

@@ -157,6 +157,20 @@ class TestConvexHull:
                 assert cross(a, b, pts[p]) >= 0  # nothing outside any edge
 
 
+def _check_seeded_tour(n, seed, criterion, digest, cost):
+    """The hull tour (ratio), or detour insertion from the hull, of the seeded
+    n-city instance has this digest and cost."""
+    inst = generate_random_instance(n, seed)
+    d = build_distance_matrix(inst)
+    if criterion == "ratio":
+        tour = convex_hull_tour(inst, d)
+    else:
+        hull = convex_hull(inst.coords)
+        tour = cheapest_insertion(hull, sorted(set(range(n)) - set(hull)), d, criterion)
+    assert hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16] == digest
+    assert tour_length(tour, d) == cost
+
+
 class TestConvexHullTour:
     def test_square_perimeter(self, unit_square):
         inst, d = unit_square
@@ -228,15 +242,12 @@ class TestConvexHullTour:
         (12, "detour", "7ac9cdc4ca9a6ff7", 1217.898670962465),
     ])
     def test_seeded_n200_tours_pinned(self, seed, criterion, digest, cost):
-        inst = generate_random_instance(200, seed)
-        d = build_distance_matrix(inst)
-        if criterion == "ratio":
-            tour = convex_hull_tour(inst, d)
-        else:
-            hull = convex_hull(inst.coords)
-            tour = cheapest_insertion(hull, sorted(set(range(200)) - set(hull)), d, criterion)
-        assert hashlib.sha256(",".join(map(str, tour)).encode()).hexdigest()[:16] == digest
-        assert tour_length(tour, d) == cost
+        _check_seeded_tour(200, seed, criterion, digest, cost)
+
+    def test_seeded_n1000_hull_tour_pinned(self):
+        # Recorded from the insertion that rescored every pair each step: a
+        # run of 987 steps through the kept scores.
+        _check_seeded_tour(1000, 5, "ratio", "bf8e360cfba68d57", 2905.2023932070374)
 
     def test_tour_cost_against_oracle(self, unit_square):
         inst, d = unit_square

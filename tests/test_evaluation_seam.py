@@ -441,6 +441,17 @@ NEVER_WRITTEN = {
     "failed with a cost": (ROW.replace(",ok", ",failed"),
                            "status 'failed' with a best_cost; "
                            "a row has a best_cost exactly when its status is not failed"),
+    "no city": (ROW.replace(",5,7,", ",0,7,"), "n 0; a run's n is at least 1"),
+    "negative rep": (ROW.replace(",7,0,", ",7,-3,"), "rep -3; a run's rep is at least 0"),
+    "negative time": (ROW.replace(",0.25,", ",-2.0,"), "elapsed_s -2.0; a run's elapsed_s is at least 0"),
+    "negative evaluations": (ROW.replace(",100,", ",-7,"),
+                             "evaluations -7; a run's evaluations is at least 0"),
+    "negative nodes": (ROW.replace(",100,,", ",100,-1,"),
+                       "nodes_expanded -1; a run's nodes_expanded is at least 0"),
+    "empty algorithm": (ROW.replace("sa,", ",", 1), "an empty algorithm"),
+    "empty variant": (ROW.replace(",baseline,", ",,"), "an empty variant"),
+    "empty config_id": (ROW.replace(",original,", ",,"), "an empty config_id"),
+    "empty instance": (ROW.replace(",rnd5-s1,", ",,"), "an empty instance"),
 }
 
 

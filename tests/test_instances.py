@@ -155,6 +155,8 @@ MALFORMED_FILES = {
                               MissingField, "missing NODE_COORD_SECTION"),
     "two-field coordinate line": (TRIANGLE_FILE.replace("2 3 0\n", "2 3\n"),
                                   CountMismatch, "coordinate line too short: '2 3'"),
+    "four-field coordinate line": (TRIANGLE_FILE.replace("2 3 0\n", "2 3 0 junk\n"),
+                                   CountMismatch, "coordinate line too long: '2 3 0 junk'"),
     "explicit without format": (EXPLICIT_FILE.replace("EDGE_WEIGHT_FORMAT : FULL_MATRIX\n", ""),
                                 MissingField, "missing EDGE_WEIGHT_FORMAT"),
     "explicit without weights": (EXPLICIT_FILE.split("EDGE_WEIGHT_SECTION")[0],
@@ -175,6 +177,14 @@ def test_malformed_file_raises_typed_error_and_cli_exits_2(case, tmp_path, capsy
     assert code == 2
     assert f"error: {message}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [TRIANGLE_FILE.replace("NAME : tri\n", ""),
+                                  TRIANGLE_FILE.replace("NAME : tri", "NAME :")],
+                         ids=["no NAME", "empty NAME"])
+def test_missing_or_empty_name_reads_unnamed(text):
+    # A run row names its instance, and read_csv refuses an empty one.
+    assert parse_instance(text).name == "unnamed"
 
 
 def test_parse_skips_blank_lines():

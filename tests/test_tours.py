@@ -198,11 +198,17 @@ _GRID = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (float(p[0
 @st.composite
 def _insertion_case(draw, layout):
     """A matrix, a starting tour of 1 to n-1 cities, and the rest in any order."""
-    n = draw(st.integers(2, 14))
+    n = draw(st.integers(2, 40))
     order = draw(st.permutations(range(n)))
     start = draw(st.sampled_from(sorted({1, 2, n - 1} & set(range(1, n)))) | st.integers(1, n - 1))
     if layout == "asymmetric":  # the scores must read d[i][k] and d[k][j], not their mirrors
-        flat = draw(st.lists(st.floats(0.0, 100.0), min_size=n * n, max_size=n * n))
+        # n * n drawn floats overrun hypothesis's buffer long before n = 40,
+        # so a larger matrix is filled from a drawn seed.
+        if n <= 14:
+            flat = draw(st.lists(st.floats(0.0, 100.0), min_size=n * n, max_size=n * n))
+        else:
+            rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+            flat = [rnd.uniform(0.0, 100.0) for _ in range(n * n)]
         return np.array(flat).reshape(n, n), order[:start], order[start:]
     if layout == "uniform":
         pts = draw(st.lists(_UNIFORM, min_size=n, max_size=n))
@@ -221,10 +227,57 @@ def _insertion_case(draw, layout):
 @settings(max_examples=60, deadline=None)
 def test_cheapest_insertion_matches_sequential_scan(layout, criterion, data):
     d, tour, pending = data.draw(_insertion_case(layout))
+    _assert_matches_sequential_scan(d, tour, pending, criterion)
+
+
+def _assert_matches_sequential_scan(d, tour, pending, criterion):
     expected = reference_cheapest_insertion(tour, pending, d.tolist(), criterion)
     got = cheapest_insertion(tour, pending, d, criterion)
     assert got == expected
     assert validate_tour(got, len(d)).ok
+    return got
+
+
+# Hand-built cases, each forcing one part of the kept-score update: (coords,
+# tour, pending, criterion, the tour the sequential scan gives).
+_INSERTION_CASES = {
+    # City 2 ties in both slots of the two-city tour and goes in first. The
+    # other slot's minimum was city 2's score, so it must be rescanned;
+    # kept as it was, it names a city that is no longer pending.
+    "slot minimum was the inserted city's": (
+        [(0, 3), (1, 3), (0, 1), (3, 3)], [0, 1], [2, 3], "detour", [3, 2, 0, 1]),
+    "slot minimum was the inserted city's, ratio": (
+        [(0, 2), (4, 4), (4, 3), (1, 1)], [0, 1], [2, 3], "ratio", [2, 3, 0, 1]),
+    # All on one line. City 3 goes before city 0, which appends slot (3, 0)
+    # after slot (0, 1). City 2 then ties in both, and (3, 0) comes first in
+    # the tour: slot order would put city 2 after city 0 instead.
+    "tie across slots out of tour order": (
+        [(4, 1), (5, 1), (2, 1), (6, 1)], [0, 1], [2, 3], "detour", [3, 2, 0, 1]),
+    # A one-city tour has no edge: cities 2 and 1 tie at 2 * d[0][k], the
+    # first pending goes after city 0, and the kept scores take over.
+    "one-city start": ([(0, 0), (0, 3), (3, 0), (5, 5)], [0], [2, 1, 3], "detour", [3, 1, 0, 2]),
+    "nothing pending": ([(0, 0), (0, 3), (3, 0)], [2, 0, 1], [], "ratio", [2, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", _INSERTION_CASES)
+def test_cheapest_insertion_hand_built_cases(case):
+    coords, tour, pending, criterion, expected = _INSERTION_CASES[case]
+    pts = [(float(x), float(y)) for x, y in coords]
+    d = build_distance_matrix(Instance(name="ins", dimension=len(pts), kind="EUC_2D", coords=pts))
+    assert _assert_matches_sequential_scan(d, tour, pending, criterion) == expected
+
+
+def test_cheapest_insertion_first_within_tie_window_of_step_minimum():
+    # Scores of 0 and 1e-12 chain within the tie window. The first pair
+    # within 1e-12 of the step's minimum wins, as it has since insertion was
+    # vectorised; the sequential scan, which moves only to a score more than
+    # 1e-12 below its current best, gives [6, 5, 3, 4, 2, 0, 1] here.
+    e = 1e-12
+    d = np.zeros((7, 7))
+    for i, j in [(0, 0), (0, 2), (1, 2), (1, 3), (2, 6), (3, 2), (3, 6), (4, 6)]:
+        d[i][j] = e
+    assert cheapest_insertion([0], [1, 2, 3, 4, 5, 6], d) == [6, 5, 4, 2, 3, 0, 1]
 
 
 def test_cheapest_insertion_unknown_criterion():
