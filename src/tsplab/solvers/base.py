@@ -100,6 +100,28 @@ class RunTracker:
         self.evaluations += 1
         return cost, self.offer(tour, cost)
 
+    def evaluate_rows(self, rows: np.ndarray, matrix: np.ndarray) -> list[float]:
+        """evaluate() for each row of rows, an intp array of complete tours on
+        the float array matrix, in order until out_of_budget(): the costs of
+        the rows evaluated. Each cost is tour_length's: the closing edge, then
+        each leg, added in sequence by cumsum, and + 0.0 as tour_length's
+        start from 0.0, which turns a sum of -0.0 legs into 0.0."""
+        n = rows.shape[1]
+        index = np.empty_like(rows)  # flat matrix index of each leg, closing edge first
+        index[:, 0] = rows[:, -1]
+        index[:, 1:] = rows[:, :-1]
+        index *= n
+        index += rows
+        legs = matrix.take(index)
+        costs = (np.cumsum(legs, axis=1, out=legs)[:, -1] + 0.0).tolist()
+        for k, cost in enumerate(costs):
+            self.evaluations += 1
+            if cost < self.best_cost:
+                self.offer(rows[k].tolist(), cost)
+            if self.out_of_budget():
+                return costs[: k + 1]
+        return costs
+
     def offer_summed(self, tour: list[int], cost: float, d) -> float:
         """The cost to carry on with for a tour whose cost was summed from
         move deltas; one that looks like a new best is re-costed on d, since

@@ -2,7 +2,15 @@
 
 baseline: random initial population, fitness-proportional selection, order
 crossover (OX), single swap mutation at rate mutation_rate, top-elite
-elitism, generational replacement.
+elitism, generational replacement. No child of a generation reads another's
+cost, so each generation is built in three phases on a population x n intp
+array: (1) every child's draws, in the order a one-child-at-a-time loop
+makes them (two roulette parents on the previous generation's costs, OX's
+two cut points, the mutation test and, if it passes, the two swap
+positions); (2) every OX child at once; (3) the mutation swaps. Then
+RunTracker.evaluate_rows costs the children with tour_length's float
+operations and counts and offers them in order, so seeded runs are
+bit-identical to that loop.
 
 hybrid_r1 layers on: nearest-neighbor seeding of max(1, N//5) individuals
 (only when N >= 5, all built in one tours.nearest_neighbor_tours call),
@@ -29,7 +37,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..tours import TIE_EPS, nearest_neighbor_tours, randbelow, roulette
+from ..tours import TIE_EPS, nearest_neighbor_tours, randbelow, roulette, shuffle
 from .base import TINY, SolveBudget, SolveResult, SolverSpec, operator_score, update_weights
 
 # Reaction factor for the adaptive crossover weights (same 3/1/0 scoring as ALNS).
@@ -61,30 +69,65 @@ def nn_seed_count(population_size: int) -> int:
 
 def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline") -> SolveResult:
     tracker, matrix, dist = SPEC.start(d, b, variant)
-    n = len(dist)
     rng = random.Random(seed)
-    getrandbits = rng.getrandbits  # randbelow(getrandbits, k) draws as rng.randrange(k)
-    hybrid = variant == "hybrid_r1"
-
-    pop, costs = _initial_population(matrix, dist, n, p, rng, hybrid, tracker)
-    buffers = _insertion_buffers(matrix) if hybrid else None
-    op_weights = [1.0, 1.0, 1.0]  # OX, ER, BCR
-
     # A full-elite population would never produce offspring; keep one slot open.
     elite = min(p.elite_count, p.population_size - 1)
+    if variant == "hybrid_r1":
+        _evolve_hybrid(matrix, dist, p, elite, rng, tracker)
+    else:
+        pop, costs = _initial_population(matrix, dist, len(dist), p, rng, False, tracker)
+        # The baseline works on arrays from here: free the float rows and the lists.
+        del dist
+        pop = np.array(pop, dtype=np.intp)
+        _evolve_baseline(pop, costs, matrix, p, elite, rng, tracker)
+    return tracker.result()
+
+
+def _evolve_baseline(pop, costs, matrix, p, elite, rng, tracker):
+    # The three phases of the module docstring. A generation makes only the
+    # children the evaluation cap leaves room for.
+    size, n = p.population_size, len(matrix)
+    getrandbits, random_, rate = rng.getrandbits, rng.random, p.mutation_rate
+    cap = tracker.budget.max_evaluations
+    new_pop = np.empty_like(pop)
+    buffers = _crossover_buffers(size, n)
+    while not tracker.out_of_budget():
+        ranked = sorted(range(size), key=lambda i: (costs[i], i))[:elite]
+        new_pop[:elite] = pop[ranked]
+        new_costs = [costs[i] for i in ranked]
+        cum_weights = list(accumulate(1.0 / (c + TINY) for c in costs))
+        count = size - elite if cap is None else min(size - elite, cap - tracker.evaluations)
+        cuts, swaps = [], []
+        for k in range(count):
+            i1, i2 = roulette(cum_weights, rng), roulette(cum_weights, rng)
+            a, b = randbelow(getrandbits, n), randbelow(getrandbits, n)
+            cuts.append((i1, i2, a, b) if a <= b else (i1, i2, b, a))
+            if random_() < rate:
+                swaps.append((k, randbelow(getrandbits, n), randbelow(getrandbits, n)))
+        children = new_pop[elite : elite + count]
+        _order_crossover_rows(pop, *np.array(cuts, dtype=np.intp).T, children, buffers)
+        if swaps:
+            k, a, b = np.array(swaps, dtype=np.intp).T
+            children[k, a], children[k, b] = children[k, b], children[k, a]
+        new_costs += tracker.evaluate_rows(children, matrix)
+        if tracker.out_of_budget():
+            return
+        pop, new_pop, costs = new_pop, pop, new_costs
+
+
+def _evolve_hybrid(matrix, dist, p, elite, rng, tracker):
+    n = len(dist)
+    pop, costs = _initial_population(matrix, dist, n, p, rng, True, tracker)
+    getrandbits = rng.getrandbits  # randbelow(getrandbits, k) draws as rng.randrange(k)
+    buffers = _insertion_buffers(matrix)
+    op_weights = [1.0, 1.0, 1.0]  # OX, ER, BCR
     while not tracker.out_of_budget():
         ranked = sorted(range(p.population_size), key=lambda i: (costs[i], i))
         new_pop = [list(pop[i]) for i in ranked[:elite]]
         new_costs = [costs[i] for i in ranked[:elite]]
-        # Baseline parent weights: costs change only at the end of a generation.
-        cum_weights = None if hybrid else list(accumulate(1.0 / (c + TINY) for c in costs))
         while len(new_pop) < p.population_size:
-            if hybrid:
-                i1, i2 = _tournament(costs, getrandbits), _tournament(costs, getrandbits)
-                op = roulette(list(accumulate(op_weights)), rng)
-            else:
-                i1, i2 = roulette(cum_weights, rng), roulette(cum_weights, rng)
-                op = 0
+            i1, i2 = _tournament(costs, getrandbits), _tournament(costs, getrandbits)
+            op = roulette(list(accumulate(op_weights)), rng)
             parent1, parent2 = pop[i1], pop[i2]
             if op == 0:
                 child = _order_crossover(parent1, parent2, getrandbits)
@@ -96,20 +139,16 @@ def solve_ga(d, p: GaParams, b: SolveBudget, seed: int, variant: str = "baseline
             if rng.random() < p.mutation_rate:
                 a, bpos = randbelow(getrandbits, n), randbelow(getrandbits, n)
                 child[a], child[bpos] = child[bpos], child[a]
-            if hybrid:
-                _two_opt_pass(child, dist, getrandbits)
+            _two_opt_pass(child, dist, getrandbits)
             child_cost, was_best = tracker.evaluate(child, dist)
-            if hybrid:
-                score = operator_score(was_best, child_cost < min(costs[i1], costs[i2]))
-                op_weights = update_weights(op_weights, op, score, _OPERATOR_REACTION)
+            score = operator_score(was_best, child_cost < min(costs[i1], costs[i2]))
+            op_weights = update_weights(op_weights, op, score, _OPERATOR_REACTION)
             new_pop.append(child)
             new_costs.append(child_cost)
             if tracker.out_of_budget():
-                return tracker.result()
+                return
         pop, costs = new_pop, new_costs
-        if hybrid:
-            _refresh_duplicates(pop, costs, dist, n, p, rng, tracker)
-    return tracker.result()
+        _refresh_duplicates(pop, costs, dist, n, p, rng, tracker)
 
 
 SPEC = SolverSpec(
@@ -133,7 +172,7 @@ def _initial_population(matrix, dist, n, p, rng, hybrid, tracker):
         pop.extend(nearest_neighbor_tours(matrix, starts))
     while len(pop) < p.population_size:
         perm = list(range(n))
-        rng.shuffle(perm)
+        shuffle(perm, rng.getrandbits)
         pop.append(perm)
     costs = [tracker.evaluate(tour, dist)[0] for tour in pop]
     return pop, costs
@@ -158,27 +197,80 @@ def _order_crossover(p1, p2, getrandbits) -> list[int]:
     return fill[tail:] + p1[a : b + 1] + fill[:tail]
 
 
+def _crossover_buffers(size, n):
+    """Baseline OX's per-run state: positions 0..2n-1 mod n (intp), then
+    size x n rows, one per child: each walk step's child position, a flat
+    index, and the first and second parent read along the walk (intp); the
+    steps before the segment, each child's cities outside its segment, and
+    the second parent's such cities (bool)."""
+    return (np.arange(2 * n) % n, *(np.empty((size, n), dtype=np.intp) for _ in range(4)),
+            *(np.empty((size, n), dtype=bool) for _ in range(3)))
+
+
+def _order_crossover_rows(pop, first, second, lo, hi, out, buffers) -> None:
+    # _order_crossover for every child at once, into the rows of out. Child
+    # k walks positions hi+1, ..., n-1, 0, ..., hi: step j is position
+    # spin[k, j] = (hi[k] + 1 + j) % n. The walk ends on the segment lo..hi,
+    # which keeps pop[first[k]]; its first n - (hi - lo + 1) steps take the
+    # cities of pop[second[k]] read along the same walk, minus the segment's.
+    # Flat takes and stores: every index is in range, and take's mode="clip"
+    # skips mode="raise"'s buffered copy.
+    count, n = out.shape
+    cycle, *rest = buffers
+    spin, index, kept, walk, head, outside, fresh = (buf[:count] for buf in rest)
+    cols, rows = cycle[:n], np.arange(0, count * n, n)[:, None]
+    np.add(hi[:, None] + 1, cols, out=index)
+    cycle.take(index, out=spin, mode="clip")
+    np.add(spin, first[:, None] * n, out=index)
+    pop.take(index, out=kept, mode="clip")
+    np.add(spin, second[:, None] * n, out=index)
+    pop.take(index, out=walk, mode="clip")
+    np.less_equal(cols, (n - 2 - hi + lo)[:, None], out=head)
+    np.add(kept, rows, out=index)
+    outside.reshape(-1)[index.reshape(-1)] = head.reshape(-1)  # city not in child k's segment
+    np.add(walk, rows, out=index)
+    outside.take(index, out=fresh, mode="clip")
+    kept[head] = walk[fresh]
+    np.add(spin, rows, out=index)
+    out.reshape(-1)[index.reshape(-1)] = kept.reshape(-1)
+
+
 def _edge_recombination(p1, p2) -> list[int]:
-    # The adjacency sets are never pruned: every read intersects them with
-    # `remaining`, which already excludes each visited city.
+    # Each step goes to the unvisited neighbour of the current city with the
+    # fewest unvisited neighbours of its own, ties to the lower city, or, if
+    # there is none, to the lowest unvisited city. Cities are 0..n-1, and
+    # key[c] = n * (c's unvisited neighbours) + c, so the least key is the
+    # choice: visiting a city takes n off each neighbour's key (adjacency is
+    # symmetric). `lowest` only moves up.
     n = len(p1)
-    adj: dict[int, set[int]] = {c: set() for c in p1}
+    adj: list[set[int]] = [set() for _ in range(n)]
     for parent in (p1, p2):
-        for i, city in enumerate(parent):
-            adj[city].add(parent[i - 1])
-            adj[city].add(parent[(i + 1) % n])
-    current = p1[0]
+        prev = parent[-1]
+        for city in parent:
+            adj[city].add(prev)
+            adj[prev].add(city)
+            prev = city
+    key = [n * len(near) + c for c, near in enumerate(adj)]
+    none = 5 * n  # above every key: a city has at most 4 neighbours
+    visited = [False] * n
+    current, lowest = p1[0], 0
     tour = [current]
-    remaining = set(p1)
-    remaining.discard(current)
-    while remaining:
-        candidates = adj[current] & remaining
-        if candidates:
-            current = min(candidates, key=lambda c: (len(adj[c] & remaining), c))
+    for _ in range(n - 1):
+        visited[current] = True
+        near = adj[current]
+        for c in near:
+            key[c] -= n
+        best = none
+        for c in near:
+            if not visited[c] and key[c] < best:
+                best = key[c]
+        if best == none:
+            while visited[lowest]:
+                lowest += 1
+            current = lowest
         else:
-            current = min(remaining)
+            current = best % n
         tour.append(current)
-        remaining.discard(current)
     return tour
 
 
@@ -272,6 +364,6 @@ def _refresh_duplicates(pop, costs, dist, n, p, rng, tracker):
     tied = [i for i, cost in enumerate(costs) if cost == worst_cost]
     for i in tied[1:]:  # keep the first of the tied
         perm = list(range(n))
-        rng.shuffle(perm)
+        shuffle(perm, rng.getrandbits)
         costs[i], _ = tracker.evaluate(perm, dist)
         pop[i] = perm

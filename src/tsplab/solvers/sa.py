@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from ..tours import nearest_neighbor_tour
+from ..tours import nearest_neighbor_tour, shuffle
 from .base import SolveBudget, SolveResult, SolverSpec
 
 # Planned Lundy-Mees sweep length per city when the budget gives no
@@ -63,7 +63,7 @@ def solve_sa(
 
     if variant == "baseline":
         current = list(range(n))
-        rng.shuffle(current)
+        shuffle(current, getrandbits)  # rng.shuffle's draws and swaps
     else:
         current = nearest_neighbor_tour(matrix, start=0)
     current_cost, _ = tracker.evaluate(current, dist)

@@ -111,6 +111,20 @@ def randbelow(getrandbits, n: int) -> int:
     return r
 
 
+def shuffle(order, getrandbits) -> None:
+    """Shuffle the list order in place as random.Random.shuffle does: for i
+    from len(order) - 1 down to 1, swap order[i] with order[j], j =
+    randbelow(getrandbits, i + 1). The draws and swaps are Random.shuffle's
+    (3.10 to 3.13), with randbelow inline."""
+    for i in range(len(order) - 1, 0, -1):
+        span = i + 1
+        k = span.bit_length()
+        j = getrandbits(k)
+        while j >= span:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+
+
 def roulette(cum, rng, total: float | None = None) -> int:
     """The first k with rng.random() * total < cum[k] (cum: running sums of
     weights), clamped to the last index. total=None means cum[-1], which draws

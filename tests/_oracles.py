@@ -7,6 +7,7 @@ with the package is meaningful evidence, not self-confirmation.
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -126,7 +127,14 @@ def reference_cheapest_insertion(tour, pending, d, criterion="detour"):
     """The sequential pure-Python scans convex-hull construction and ALNS repair
     ran before insertion was vectorised: keep a new best only when its score
     is more than 1e-12 below the current one. A one-city tour appends after
-    its city at score 2 * d[t][k], as ALNS repair did."""
+    its city at score 2 * d[t][k], as ALNS repair did.
+
+    tours.cheapest_insertion takes instead the first (city, position) whose
+    score is within 1e-12 of the step's minimum. The two agree unless
+    distinct scores chain within 1e-12: with scores 2e-12, 1e-12 and 0 in
+    scan order, this scan keeps 2e-12 against 1e-12 and ends on 0, where
+    cheapest_insertion takes 1e-12. A 7-city matrix of 0 and 1e-12 entries
+    pins one such case in tests/test_tours.py."""
     tour = list(tour)
     pending = list(pending)
     while pending:
@@ -217,6 +225,58 @@ def reference_order_crossover(p1, p2, rng):
             child[pos] = city
             pos = (pos + 1) % n
     return child
+
+
+def reference_ga_baseline(d, population_size, mutation_rate, elite_count, cap, seed):
+    """GA baseline as solve_ga ran it before it built each generation as
+    arrays: one child at a time, drawn, crossed, mutated, costed and offered
+    in turn, stopping once cap evaluations are counted (the whole initial
+    population is always costed). Each cost sums tour_length's way: from
+    0.0, the closing edge first. Returns (best, best_cost, evaluations, the
+    trajectory's costs)."""
+    rows = np.asarray(d, dtype=float).tolist()
+    n = len(rows)
+    rng = random.Random(seed)
+    best, best_cost, trajectory = None, math.inf, []
+    evaluations = 0
+
+    def evaluate(tour):
+        nonlocal best, best_cost, evaluations
+        total, prev = 0.0, tour[-1]
+        for city in tour:
+            total += rows[prev][city]
+            prev = city
+        evaluations += 1
+        if total < best_cost:
+            best, best_cost = list(tour), total
+            trajectory.append(total)
+        return total
+
+    pop = []
+    for _ in range(population_size):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pop.append(perm)
+    costs = [evaluate(tour) for tour in pop]
+    elite = min(elite_count, population_size - 1)
+    everyone = range(population_size)
+    while evaluations < cap:
+        ranked = sorted(everyone, key=lambda i: (costs[i], i))[:elite]
+        new_pop, new_costs = [list(pop[i]) for i in ranked], [costs[i] for i in ranked]
+        cum_weights = list(itertools.accumulate(1.0 / (c + 1e-12) for c in costs))
+        while len(new_pop) < population_size:
+            i1 = rng.choices(everyone, cum_weights=cum_weights)[0]
+            i2 = rng.choices(everyone, cum_weights=cum_weights)[0]
+            child = reference_order_crossover(pop[i1], pop[i2], rng)
+            if rng.random() < mutation_rate:
+                a, b = rng.randrange(n), rng.randrange(n)
+                child[a], child[b] = child[b], child[a]
+            new_pop.append(child)
+            new_costs.append(evaluate(child))
+            if evaluations >= cap:
+                return best, best_cost, evaluations, trajectory
+        pop, costs = new_pop, new_costs
+    return best, best_cost, evaluations, trajectory
 
 
 def reference_best_cost_insertion(p1, p2, d, rng):

@@ -58,6 +58,7 @@ from ._oracles import (
     reference_aco_tour,
     reference_best_cost_insertion,
     reference_edge_recombination,
+    reference_ga_baseline,
     reference_order_crossover,
 )
 from .conftest import (
@@ -614,6 +615,85 @@ _GA_PINS = {
 def test_ga_outputs_pinned(name, variant):
     got = [_ga_digest(_GA_PIN_INPUTS[name](n), variant) for n in _GA_PIN_SIZES]
     assert got == list(_GA_PINS[name, variant])
+
+
+# --- GA baseline: each generation built and costed as arrays ----------------
+# The names carry "ga_batch" so that CI's AVX-512-off step selects them.
+
+def _ga_input(kind, n):
+    """A _GA_PIN_INPUTS matrix of n cities, n = 1 included."""
+    if n > 1:
+        return _GA_PIN_INPUTS[kind](n)
+    d = _GA_PIN_INPUTS[kind](2)
+    return [d[0][:1]] if kind == "list" else d[:1, :1]
+
+
+@st.composite
+def _ga_batch_case(draw):
+    n = draw(st.integers(1, 60))
+    size = draw(st.integers(2, 20))
+    elite = draw(st.integers(0, size))
+    children = size - min(elite, size - 1)  # per generation
+    generations = draw(st.integers(0, 4))
+    stop = draw(st.sampled_from(["one", "initial", "mid", "end"]))
+    cap = {"one": 1,
+           "initial": draw(st.integers(1, size)),
+           "mid": size + generations * children + draw(st.integers(1, children)) - 1,
+           "end": size + (generations + 1) * children}[stop]
+    rate = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    kind = draw(st.sampled_from(list(_GA_PIN_INPUTS)))
+    return _ga_input(kind, n), GaParams(size, rate, elite), cap, draw(st.integers(0, 2**32))
+
+
+@given(_ga_batch_case())
+@settings(max_examples=400, deadline=None)
+def test_ga_batch_matches_per_child_loop(case):
+    d, p, cap, seed = case
+    r = solve_ga(d, p, SolveBudget(max_evaluations=cap), seed)
+    best, best_cost, evaluations, trajectory = reference_ga_baseline(
+        d, p.population_size, p.mutation_rate, p.elite_count, cap, seed)
+    assert (r.best, r.best_cost.hex(), r.evaluations) == (best, best_cost.hex(), evaluations)
+    assert [cost.hex() for _, cost in r.trajectory] == [cost.hex() for cost in trajectory]
+
+
+def _ga_batch_rows(n, count, seed):
+    rng = random.Random(seed)
+    return np.array([rng.sample(range(n), n) for _ in range(count)], dtype=np.intp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 320])
+@pytest.mark.parametrize("kind", [*_GA_PIN_INPUTS, "all -0.0"])
+def test_ga_batch_evaluate_rows_costs_as_tour_length(kind, n):
+    # Compared as float.hex(), so that -0.0 and 0.0 differ: a tour of -0.0
+    # legs costs 0.0, as tour_length's sum starts from 0.0.
+    matrix = base.read_matrix(np.full((n, n), -0.0) if kind == "all -0.0" else _ga_input(kind, n))
+    rows = _ga_batch_rows(n, 30, n)
+    tracker = base.RunTracker(SolveBudget(max_evaluations=100))
+    costs = tracker.evaluate_rows(rows, matrix)
+    expected = [tour_length(row, base.float_rows(matrix)) for row in rows.tolist()]
+    assert [c.hex() for c in costs] == [c.hex() for c in expected]
+    assert tracker.evaluations == 30
+
+
+@pytest.mark.parametrize("cap", [1, 7, 30, 31])
+def test_ga_batch_evaluate_rows_counts_and_offers_as_evaluate(cap):
+    # Row by row as evaluate(): counted, offered on a strict improvement, and
+    # no row after the one that exhausts the budget.
+    matrix = base.read_matrix(nint_matrix(12, 3))
+    rows = _ga_batch_rows(12, 30, 4)
+    rows[5] = rows[3]  # an equal cost is not a new best
+    ours, theirs = (base.RunTracker(SolveBudget(max_evaluations=cap)) for _ in range(2))
+    costs = ours.evaluate_rows(rows, matrix)
+    expected = []
+    for row in rows.tolist():
+        expected.append(theirs.evaluate(row, base.float_rows(matrix))[0])
+        if theirs.out_of_budget():
+            break
+    assert costs == expected and len(costs) == min(cap, 30)
+    assert (ours.best, ours.best_cost, ours.evaluations) == (
+        theirs.best, theirs.best_cost, theirs.evaluations)
+    assert [c for _, c in ours.trajectory] == [c for _, c in theirs.trajectory]
+    assert all(type(city) is int for city in ours.best)
 
 
 # --- ALNS specifics ---------------------------------------------------------

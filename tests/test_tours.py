@@ -17,7 +17,7 @@ from tsplab import (
 )
 from tsplab.instances import Instance, build_distance_matrix
 from tsplab.solvers.ga import _two_opt_pass
-from tsplab.tours import randbelow, roulette
+from tsplab.tours import randbelow, roulette, shuffle
 
 from ._oracles import has_improving_two_opt, reference_cheapest_insertion, tour_cost
 from .conftest import random_matrix
@@ -226,6 +226,12 @@ def _insertion_case(draw, layout):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_cheapest_insertion_matches_sequential_scan(layout, criterion, data):
+    """cheapest_insertion against reference_cheapest_insertion. The two
+    differ only where distinct scores chain within TIE_EPS (1e-12): the scan
+    moves to a score only if it is more than 1e-12 below its current best,
+    while cheapest_insertion takes the first pair within 1e-12 of the step's
+    minimum (see test_cheapest_insertion_first_within_tie_window_of_step_minimum).
+    These layouts' ties are exact or differ by rounding far below 1e-12."""
     d, tour, pending = data.draw(_insertion_case(layout))
     _assert_matches_sequential_scan(d, tour, pending, criterion)
 
@@ -278,6 +284,7 @@ def test_cheapest_insertion_first_within_tie_window_of_step_minimum():
     for i, j in [(0, 0), (0, 2), (1, 2), (1, 3), (2, 6), (3, 2), (3, 6), (4, 6)]:
         d[i][j] = e
     assert cheapest_insertion([0], [1, 2, 3, 4, 5, 6], d) == [6, 5, 4, 2, 3, 0, 1]
+    assert reference_cheapest_insertion([0], [1, 2, 3, 4, 5, 6], d.tolist()) == [6, 5, 3, 4, 2, 0, 1]
 
 
 def test_cheapest_insertion_unknown_criterion():
@@ -328,6 +335,17 @@ def test_reversal_pair_draws_as_randrange(seed, n):
 def test_randbelow_rejects_an_empty_range(n):
     with pytest.raises(ValueError, match="empty range"):
         randbelow(random.Random(0).getrandbits, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 200, 1000])
+def test_shuffle_draws_and_swaps_as_random_shuffle(n):
+    for seed in range(300 if n < 1000 else 60):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        order, expected = list(range(n)), list(range(n))
+        shuffle(order, ours.getrandbits)
+        theirs.shuffle(expected)
+        assert order == expected
+        assert ours.getstate() == theirs.getstate()
 
 
 # --- roulette: random.choices(cum_weights=...) as one shared draw -------------
