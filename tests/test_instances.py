@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,10 +22,10 @@ from tsplab import (
     render_instance,
 )
 from tsplab.cli import main
-from tsplab.instances import check_symmetric
+from tsplab.instances import ROUNDING_MODES, check_symmetric
 from tsplab.solvers.base import read_matrix
 
-from ._oracles import reference_geo_distance
+from ._oracles import reference_distance_matrix, reference_geo_distance
 
 TRIANGLE_FILE = """NAME : tri
 TYPE : TSP
@@ -427,3 +428,102 @@ def test_instance_invariants():
         Instance(name="x", dimension=3, kind="EUC_2D", coords=[(0, 0), (1, 1)])
     with pytest.raises(UnsupportedFormat):
         Instance(name="x", dimension=2, kind="ATT", coords=[(0, 0), (1, 1)])
+
+
+def _coord_instance(kind, pts):
+    """An EUC_2D or GEO instance over pts, one city included: Instance itself
+    refuses dimension 1, but building its matrix must still work."""
+    inst = object.__new__(Instance)
+    inst.__dict__.update(name=f"{kind}{len(pts)}", dimension=len(pts), kind=kind,
+                         coords=[tuple(p) for p in np.asarray(pts, dtype=float).tolist()])
+    return inst
+
+
+def _geo_points(rng, n):
+    """n TSPLIB degrees.minutes points: latitude within 90, longitude within 180."""
+    deg = rng.integers([-89, -179], [90, 180], size=(n, 2))
+    return deg + np.copysign(rng.integers(0, 60, size=(n, 2)) / 100.0, deg)
+
+
+# (kind, rounding) of every coordinate build; GEO ignores rounding.
+MATRIX_KINDS = [("EUC_2D", "none"), ("EUC_2D", "tsplib_nint"), ("GEO", "none")]
+
+
+def _assert_matches_reference(kind, rounding, pts):
+    d = build_distance_matrix(_coord_instance(kind, pts), rounding=rounding)
+    ref = reference_distance_matrix(pts, kind, rounding)
+    assert d.dtype == ref.dtype and np.array_equal(d, ref)
+
+
+# A build works in blocks of 2**16 entries: one block up to n = 256, two
+# from 257; n = 1000 and 1025 end on a partial block.
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000, 1025])
+@pytest.mark.parametrize("kind, rounding", MATRIX_KINDS)
+def test_matrix_identity_with_whole_matrix_reference(kind, rounding, n):
+    rng = np.random.default_rng(n)
+    if kind == "GEO":
+        pts = _geo_points(rng, n)
+    else:  # coordinate scales from 1e-3 to 1e6
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-3, 7, size=(n, 1))
+    _assert_matches_reference(kind, rounding, pts)
+
+
+@pytest.mark.parametrize("kind, rounding", MATRIX_KINDS)
+def test_matrix_identity_coincident_points_and_grids(kind, rounding):
+    rng = np.random.default_rng(5)
+    base = _geo_points(rng, 40) if kind == "GEO" else rng.uniform(0, 50, size=(40, 2))
+    _assert_matches_reference(kind, rounding, base[rng.integers(0, 40, size=700)])
+    # half-unit grid: many ties, and distances such as 0.5 and 2.5 that round half up
+    grid = np.stack(np.meshgrid(np.arange(24.0), np.arange(23.0)), axis=-1).reshape(-1, 2)
+    _assert_matches_reference(kind, rounding, grid / 2.0)
+    _assert_matches_reference(kind, rounding, grid)
+
+
+@given(st.sampled_from(MATRIX_KINDS),
+       st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_matrix_identity_small_n_fuzz(kind_rounding, pts):
+    kind, rounding = kind_rounding
+    ref = reference_distance_matrix(pts, kind, rounding)
+    if np.isfinite(ref).all():
+        _assert_matches_reference(kind, rounding, pts)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                build_distance_matrix(_coord_instance(kind, pts), rounding=rounding)
+
+
+# n = 600 spans several blocks. Each pair below overflows only against the
+# other point of the pair: in x - x' (1e308 apart) or in hypot (8e307 each way).
+@pytest.mark.parametrize("cities", [(0, 1), (598, 599)], ids=["first-block", "last-block"])
+@pytest.mark.parametrize("far", [1e308, 8e307], ids=["difference", "hypot"])
+@pytest.mark.parametrize("rounding", ROUNDING_MODES)
+def test_matrix_identity_overflow_in_one_block_raises(cities, far, rounding):
+    pts = np.random.default_rng(3).uniform(0, 100, size=(600, 2))
+    pts[cities[0]] = (far, far)
+    pts[cities[1]] = (-far, -far)
+    bad = np.argwhere(~np.isfinite(reference_distance_matrix(pts, "EUC_2D")))
+    assert sorted(map(tuple, bad.tolist())) == [cities, cities[::-1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            build_distance_matrix(_coord_instance("EUC_2D", pts), rounding=rounding)
+
+
+@pytest.mark.parametrize("kind, rounding", MATRIX_KINDS)
+def test_build_peak_memory_is_one_matrix_plus_a_block(kind, rounding):
+    # numpy reports its array memory to tracemalloc. Whole-matrix formulas
+    # peaked at 3x the matrix for EUC_2D and 6x for GEO.
+    rng = np.random.default_rng(11)
+    pts = _geo_points(rng, 1500) if kind == "GEO" else rng.uniform(0, 1000, size=(1500, 2))
+    inst = _coord_instance(kind, pts)
+    tracemalloc.start()
+    try:
+        d = build_distance_matrix(inst, rounding=rounding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * d.nbytes, f"peak {peak / d.nbytes:.2f}x the matrix"
