@@ -9,6 +9,7 @@ run_solver before anything is recorded.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -21,7 +22,6 @@ from statistics import median
 
 from .errors import ZeroBaseline
 from .instances import ROUNDING_MODES, Instance, build_distance_matrix, generate_random_instance, parse_instance
-from .seeding import stable_hash
 from .solvers import SolveBudget, get_algorithm, resolve_config, run_solver
 from .solvers.base import convert_values
 from .tours import costs_agree
@@ -36,6 +36,18 @@ _GRACE_FACTOR = 2.0  # elapsed beyond this multiple of the limit downgrades ok
 LINE_KEY = ("algorithm", "variant")
 GROUP_KEY = (*LINE_KEY, "instance")
 RUN_KEY = (*GROUP_KEY, "rep")
+
+
+def stable_hash(*parts) -> int:
+    """Deterministic 63-bit seed from the given parts, shared by the harness
+    and the tuner.
+
+    Content-addressed (SHA-256 over the stringified parts), so adding an
+    algorithm to a plan never reshuffles the seeds of the others.
+    """
+    text = "\x1f".join(str(p) for p in parts)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
 def time_limit_for(n: int, time_scale: float) -> int:
@@ -234,7 +246,7 @@ def _parse_algorithm_line(line: str) -> AlgorithmSpec:
     kv = _parse_kv(tokens[1:], f"algorithm line {name}")
     variant = kv.pop("variant", "baseline")
     preset_name = kv.pop("preset", None)
-    config_id, values = resolve_config(name, variant, preset_name, kv)
+    config_id, values, _ = resolve_config(name, variant, preset_name, kv)
     return AlgorithmSpec(name, variant, config_id=config_id, values=values)
 
 

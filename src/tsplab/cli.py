@@ -150,7 +150,7 @@ def _cmd_solve(args) -> int:
     _check_variant(args)
     _echo_config(seed=args.seed, time_scale=args.time_scale, rounding=args.rounding)
     inline = None if args.config is None else _parse_kv(args.config.split(","), "--config")
-    config_id, values = resolve_config(args.algorithm, args.variant, args.preset, inline)
+    config_id, values, _ = resolve_config(args.algorithm, args.variant, args.preset, inline)
     inst = InstanceSpec(source="file", path=args.instance).resolve()
     matrix = build_distance_matrix(inst, rounding=args.rounding)
     budget = SolveBudget(

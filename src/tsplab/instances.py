@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import (
     CountMismatch,
+    DimensionMismatch,
+    EmptyInput,
     MissingField,
     NegativeDistance,
     NoCoordinates,
@@ -172,7 +174,7 @@ def _weights_to_matrix(values: list[float], n: int, fmt: str) -> list[list[float
     return m.tolist()
 
 
-def check_symmetric(d: np.ndarray, what: str = "distance matrix") -> None:
+def check_symmetric(d: np.ndarray) -> None:
     """Raise NonSymmetric if some |d[i][j] - d[j][i]| exceeds SYMMETRY_TOL.
 
     Exact symmetry is checked first, on the upper triangle in panels of 64
@@ -183,7 +185,23 @@ def check_symmetric(d: np.ndarray, what: str = "distance matrix") -> None:
     if all((d[lo : lo + 64, lo:] == d[lo:, lo : lo + 64].T).all() for lo in panels):
         return
     if any(np.abs(row - col).max() > SYMMETRY_TOL for row, col in zip(d, d.T)):
-        raise NonSymmetric(f"{what} asymmetric beyond {SYMMETRY_TOL:g}")
+        raise NonSymmetric(f"distance matrix asymmetric beyond {SYMMETRY_TOL:g}")
+
+
+def read_matrix(d) -> np.ndarray:
+    """d as a float array, checked: a matrix that is not square raises
+    DimensionMismatch, one with no city EmptyInput, one with a NaN or
+    infinite entry NonFiniteInput, and one asymmetric beyond SYMMETRY_TOL
+    NonSymmetric. Solvers read d through it, and so does an EXPLICIT build."""
+    matrix = np.asarray(d, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatch(f"distance matrix must be square, got shape {matrix.shape}")
+    if len(matrix) == 0:
+        raise EmptyInput("distance matrix has no city")
+    if not np.isfinite(matrix).all():
+        raise NonFiniteInput("distance matrix contains NaN or infinity")
+    check_symmetric(matrix)
+    return matrix
 
 
 def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
@@ -191,8 +209,9 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
 
     rounding applies to EUC_2D only: "tsplib_nint" rounds each distance to
     the nearest integer; GEO always follows the TSPLIB geographic convention
-    (which truncates); EXPLICIT copies the stored matrix. NaN or infinite
-    coordinates or entries, or distances that overflow, raise NonFiniteInput.
+    (which truncates); EXPLICIT copies the stored matrix and checks it with
+    read_matrix, its errors naming the instance. NaN or infinite coordinates,
+    or distances that overflow, raise NonFiniteInput.
 
     A coordinate matrix is filled a block of rows at a time, so a build holds
     the matrix plus one block's temporaries and the n-by-n bool of the
@@ -205,9 +224,10 @@ def build_distance_matrix(inst: Instance, rounding: str = "none") -> np.ndarray:
         d = np.array(inst.matrix, dtype=float)
         if d.shape != (inst.dimension, inst.dimension):
             raise CountMismatch(f"matrix shape {d.shape} for dimension {inst.dimension}")
-        if not np.isfinite(d).all():
-            raise NonFiniteInput(f"instance {inst.name} has NaN or infinite distances")
-        check_symmetric(d, "explicit matrix")
+        try:
+            read_matrix(d)
+        except (NonFiniteInput, NonSymmetric) as exc:
+            raise type(exc)(f"instance {inst.name}: {exc}") from None
         if (d < 0).any():
             raise NegativeDistance("explicit matrix has negative entries")
         np.fill_diagonal(d, 0.0)

@@ -51,17 +51,12 @@ def preset(algorithm: str, column: str) -> ParamConfig:
 
 def resolve_config(
     algorithm: str, variant: str, preset: str | None = None, values: dict | None = None,
-) -> tuple[str, dict]:
-    """(config_id, values) of one run: a named preset column, inline values
-    ("custom", each converted to float), or else the original preset of a
-    tunable solver ("original") and no values for the others ("default").
+) -> tuple[str, dict, object]:
+    """(config_id, values, params) of one run: a named preset column, inline
+    values ("custom", each converted to float), or else the original preset
+    of a tunable solver ("original") and no values for the others
+    ("default"); params is the bundle make_params builds from the values.
     Values the params bundle rejects raise ValueError here, before any run."""
-    config_id, values, _ = _resolve(algorithm, variant, preset, values)
-    return config_id, values
-
-
-def _resolve(algorithm: str, variant: str, preset: str | None, values: dict | None):
-    """resolve_config's (config_id, values) plus the params bundle built from them."""
     spec = get_algorithm(algorithm)
     spec.check_variant(variant)
     if preset is not None and values:
@@ -102,7 +97,7 @@ def run_solver(
     relative, raises InvalidTour. The result carries the re-costed best_cost.
     """
     spec = get_algorithm(algorithm)
-    _, _, params = _resolve(algorithm, variant, None, values)
+    _, _, params = resolve_config(algorithm, variant, None, values)
     if len(matrix) != inst.dimension:
         raise DimensionMismatch(f"matrix has {len(matrix)} rows for {inst.dimension} cities")
     result = spec.run(inst, matrix, params, variant, budget, seed)

@@ -11,8 +11,8 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyInput, NonFiniteInput, NoSuchColumn, UnknownAlgorithm
-from ..instances import check_symmetric
+from ..errors import NoSuchColumn, UnknownAlgorithm
+from ..instances import read_matrix
 from ..tours import tour_length
 
 PRESET_COLUMNS = ("original", "claude", "gemini", "llama", "o1", "r1")
@@ -41,8 +41,11 @@ class SolveBudget:
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
             raise ValueError(f"time_limit must be positive and finite, got {self.time_limit}")
         cap = self.max_evaluations
-        if cap is not None and not (1 <= cap < math.inf and cap % 1 == 0):
-            raise ValueError(f"max_evaluations must be a whole number >= 1, got {cap}")
+        if cap is not None:
+            if not (1 <= cap < math.inf and cap % 1 == 0):
+                raise ValueError(f"max_evaluations must be a whole number >= 1, got {cap}")
+            # Stored as an int: a solver may range() over what is left of it.
+            object.__setattr__(self, "max_evaluations", int(cap))
 
 
 @dataclass
@@ -152,31 +155,6 @@ class RunTracker:
         )
 
 
-def read_matrix(d) -> np.ndarray:
-    """d as a float array, checked: a matrix that is not square raises
-    DimensionMismatch, one with no city EmptyInput, one with a NaN or
-    infinite entry NonFiniteInput, and one asymmetric beyond
-    instances.SYMMETRY_TOL NonSymmetric."""
-    matrix = np.asarray(d, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"distance matrix must be square, got shape {matrix.shape}")
-    if len(matrix) == 0:
-        raise EmptyInput("distance matrix has no city")
-    if not np.isfinite(matrix).all():
-        raise NonFiniteInput("distance matrix contains NaN or infinity")
-    check_symmetric(matrix)
-    return matrix
-
-
-def start_run(d, budget: SolveBudget | None) -> tuple[RunTracker, np.ndarray, list]:
-    """Start the run's clock, then read d once through read_matrix: (tracker,
-    array, rows), rows giving its entries as Python floats (see ROW_VIEW_MIN).
-    elapsed, the time budget and the trajectory times all cover the read."""
-    tracker = RunTracker(budget)
-    matrix = read_matrix(d)
-    return tracker, matrix, float_rows(matrix)
-
-
 def float_rows(array: np.ndarray) -> list:
     """The rows of a 2-D float64 array, each giving its entries as Python
     floats: array.tolist() below ROW_VIEW_MIN rows, one memoryview per row
@@ -259,12 +237,16 @@ class SolverSpec:
             raise ValueError(f"{self.name} has no variant {variant!r}")
 
     def start(self, d, budget: SolveBudget | None, variant: str = "baseline"):
-        """start_run(d, budget) after refusing an unknown variant and, for a
-        stochastic kind, a missing budget; nothing of d is read before."""
+        """Refuse an unknown variant and, for a stochastic kind, a missing
+        budget; then start the run's clock and read d once through
+        read_matrix: (tracker, array, float_rows(array)). elapsed, the time
+        budget and the trajectory times all cover the read."""
         self.check_variant(variant)
         if self.kind == "stochastic" and budget is None:
             raise ValueError(f"{self.name} needs a budget")
-        return start_run(d, budget)
+        tracker = RunTracker(budget)
+        matrix = read_matrix(d)
+        return tracker, matrix, float_rows(matrix)
 
     @property
     def tunable(self) -> bool:

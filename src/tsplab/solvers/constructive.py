@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import DegenerateInput, DimensionMismatch, NoCoordinates
 from ..instances import Instance
 from ..tours import TIE_EPS, cheapest_insertion
-from .base import SolveResult, SolverSpec, read_matrix, start_run
+from .base import SolveResult, SolverSpec, read_matrix
 
 
 def minimum_spanning_tree(d) -> list[tuple[int, int, float]]:
@@ -153,22 +153,17 @@ def _convex_hull_tour(inst: Instance, d: np.ndarray) -> list[int]:
     return cheapest_insertion(tour, sorted(set(range(n)) - set(tour)), d, "ratio")
 
 
-def _timed(construct):
-    """A SolverSpec run function that times one construction and evaluates its
-    tour; the matrix is read and checked once, through start_run."""
+def _construction_spec(name: str, construct) -> SolverSpec:
+    """The SolverSpec of a deterministic construction: its run starts through
+    the spec, which reads and checks the matrix once, then times one
+    construction and evaluates its tour."""
     def run(inst, d, params, variant, budget, seed) -> SolveResult:
-        tracker, matrix, rows = start_run(d, budget)
+        tracker, matrix, rows = spec.start(d, budget, variant)
         tracker.evaluate(construct(inst, matrix), rows)
         return tracker.result()
-    return run
+    spec = SolverSpec(name, "deterministic", ("baseline",), run=run)
+    return spec
 
 
-CHRISTOFIDES_SPEC = SolverSpec(
-    "christofides", "deterministic", ("baseline",),
-    run=_timed(lambda inst, d: _christofides(d)),
-)
-
-CONVEX_HULL_SPEC = SolverSpec(
-    "convex_hull", "deterministic", ("baseline",),
-    run=_timed(_convex_hull_tour),
-)
+CHRISTOFIDES_SPEC = _construction_spec("christofides", lambda inst, d: _christofides(d))
+CONVEX_HULL_SPEC = _construction_spec("convex_hull", _convex_hull_tour)

@@ -11,7 +11,7 @@ The Q table is one n x n float array. A greedy pick over many open cities is
 one masked numpy argmax; scalar reads and writes of Q, and greedy picks over
 few open cities, go through per-row memoryviews of it at Python-float speed.
 Both picks return the same city, so the crossover never changes a seeded run.
-Distances are read through start_run's rows.
+Distances are read through the rows SolverSpec.start returns.
 """
 
 from __future__ import annotations

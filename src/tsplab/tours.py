@@ -235,7 +235,7 @@ def two_opt(order, d) -> list[int]:
     d is indexed as given, d[a][b], in the inner loop: a list of lists (such
     as ndarray.tolist()) runs about 3x faster than an ndarray, whose every
     read builds a numpy scalar, and per-row memoryviews (the rows solvers
-    get from start_run at ROW_VIEW_MIN cities and up) about 2x.
+    get from SolverSpec.start at ROW_VIEW_MIN cities and up) about 2x.
     """
     n = len(order)
     tour = list(order)

@@ -15,10 +15,9 @@ import statistics
 from dataclasses import dataclass
 from itertools import groupby
 
-from .bench import time_limit_for
+from .bench import stable_hash, time_limit_for
 from .errors import BudgetTooSmall
 from .instances import Instance, build_distance_matrix
-from .seeding import stable_hash
 from .solvers import ParamConfig, ParamSpace, SolveBudget, parameter_space, run_solver
 
 

@@ -1,6 +1,5 @@
 import hashlib
 
-import numpy as np
 import pytest
 
 from tsplab import Instance, build_distance_matrix, generate_random_instance
@@ -75,9 +74,3 @@ def trajectory_digest(trajectory):
 def rnd6():
     return random_matrix(6, 1)
 
-
-def assert_symmetric_metric(d):
-    a = np.asarray(d)
-    assert np.allclose(a, a.T)
-    assert np.all(np.diag(a) == 0)
-    assert np.all(a >= 0)

@@ -338,6 +338,22 @@ def test_build_rejects_non_finite(inst):
             build_distance_matrix(inst)
 
 
+@pytest.mark.parametrize("upper, error, message", [
+    ("nan", NonFiniteInput, "instance pair: distance matrix contains NaN or infinity"),
+    ("5.000000002", NonSymmetric, "instance pair: distance matrix asymmetric beyond 1e-09"),
+], ids=["nan", "asymmetric"])
+def test_explicit_matrix_errors_name_the_instance(capsys, tmp_path, upper, error, message):
+    # An EXPLICIT build checks its matrix with read_matrix, as every solver does.
+    text = EXPLICIT_FILE.replace("0 5\n", f"0 {upper}\n")
+    with pytest.raises(error) as raised:
+        build_distance_matrix(parse_instance(text))
+    assert str(raised.value) == message
+    path = tmp_path / "pair.tsp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", "--instance", str(path), "--algorithm", "christofides"]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
 def test_parsed_nan_coordinate_rejected_at_matrix():
     inst = parse_instance(TRIANGLE_FILE.replace("2 3 0", "2 nan 0"))
     with pytest.raises(NonFiniteInput, match="tri"):

@@ -139,6 +139,22 @@ def test_evaluation_cap_must_be_a_whole_number(cap):
     assert SolveBudget(max_evaluations=3).max_evaluations == 3
 
 
+@pytest.mark.parametrize("algorithm,variant",
+                         [(a, v) for a, spec in ALGORITHMS.items() for v in spec.variants])
+def test_whole_number_float_cap_runs_as_its_int(algorithm, variant):
+    # GA baseline's last, partial generation once took range() of a float cap.
+    inst = generate_random_instance(12, 3)
+    d = build_distance_matrix(inst)
+
+    def outcome(cap):
+        r = run_solver(algorithm, inst, d, None, variant, SolveBudget(max_evaluations=cap), 7)
+        costs = None if r.trajectory is None else [c for _, c in r.trajectory]
+        return r.best, r.best_cost, r.evaluations, costs
+
+    assert outcome(250.0) == outcome(250)
+    assert outcome(1e3) == outcome(1000)
+
+
 def test_meta_solver_evaluation_budget_respected():
     d = random_matrix(10, 1)
     for name, call in [
@@ -376,7 +392,7 @@ def test_matrix_with_no_city_is_refused(algorithm):
 @pytest.mark.parametrize("algorithm,variant",
                          [(a, v) for a, spec in ALGORITHMS.items() for v in spec.variants])
 def test_list_rows_and_memoryview_rows_give_the_same_run(algorithm, variant, monkeypatch):
-    # start_run reads a matrix below ROW_VIEW_MIN cities as lists and from
+    # SolverSpec.start reads a matrix below ROW_VIEW_MIN cities as lists and from
     # there as per-row memoryviews; both forms, over a C- or a Fortran-ordered
     # array, must give the same floats and so the same run.
     inst = generate_random_instance(12, 3)

@@ -14,9 +14,11 @@ from tsplab import (
     UnknownParameter,
     build_distance_matrix,
     generate_random_instance,
+    get_algorithm,
     parse_plan,
     race,
     render_instance,
+    resolve_config,
     run_experiment,
     run_solver,
     tour_length,
@@ -123,6 +125,33 @@ def test_run_solver_builds_the_params_bundle_once(monkeypatch):
     d = build_distance_matrix(INST)
     run_solver("sarsa", INST, d, {"episodes": 2}, "baseline", SolveBudget(time_limit=1.0), 0)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_every_run_starts_through_its_spec_once(algorithm, monkeypatch):
+    original = SolverSpec.start
+    starts = []
+
+    def start(self, d, budget, variant="baseline"):
+        starts.append(self.name)
+        return original(self, d, budget, variant)
+
+    monkeypatch.setattr(SolverSpec, "start", start)
+    d = build_distance_matrix(INST)
+    run_solver(algorithm, INST, d, None, "baseline", SolveBudget(time_limit=5.0, max_evaluations=50), 0)
+    assert starts == [algorithm]
+
+
+@pytest.mark.parametrize("algorithm,preset,values,config_id", [
+    ("ga", "claude", None, "claude"),
+    ("sa", None, {"t_start": "40", "cooling_rate": 0.9}, "custom"),
+    ("aco", None, None, "original"),
+    ("christofides", None, None, "default"),
+])
+def test_resolve_config_returns_the_params_bundle(algorithm, preset, values, config_id):
+    resolved_id, resolved, params = resolve_config(algorithm, "baseline", preset, values)
+    assert resolved_id == config_id
+    assert params == get_algorithm(algorithm).make_params(resolved)
 
 
 @pytest.mark.parametrize("algorithm,variant",
